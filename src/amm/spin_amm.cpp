@@ -128,19 +128,9 @@ std::vector<double> SpinAmm::input_row_currents(const FeatureVector& input) cons
 void SpinAmm::input_row_currents_into(const FeatureVector& input, double* out) const {
   // Per-row DTCS DACs: the realised current depends on the row's total
   // conductance (series division, Fig. 8b).
-  const std::size_t dim = input.dimension();
-  const auto evaluate_into = [&](double* dst) {
-    for (std::size_t row = 0; row < dim; ++row) {
-      dst[row] = input_dacs_[row].output_current(input.digital[row], rcm_->row_conductance(row));
-    }
-  };
-  if (input_cache_ != nullptr) {
-    // Sibling shards with identical input stages share the evaluation:
-    // the first engine to see these digital codes computes, the rest hit.
-    input_cache_->lookup_or_compute_into(input.digital, evaluate_into, out, dim);
-    return;
+  for (std::size_t row = 0; row < input.dimension(); ++row) {
+    out[row] = input_dacs_[row].output_current(input.digital[row], rcm_->row_conductance(row));
   }
-  evaluate_into(out);
 }
 
 std::vector<double> SpinAmm::column_currents(const FeatureVector& input) {
@@ -324,12 +314,6 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
   }
   batch_timing_ = timing;
   return results;
-}
-
-double SpinAmm::realised_input_current(std::size_t row, std::uint32_t code) const {
-  require(rcm_ != nullptr, "SpinAmm: store_templates() before probing the input stage");
-  require(row < input_dacs_.size(), "SpinAmm::realised_input_current: row out of range");
-  return input_dacs_[row].output_current(code, rcm_->row_conductance(row));
 }
 
 void SpinAmm::attach_substrate(std::shared_ptr<CrossbarSubstrate> substrate,

@@ -22,7 +22,6 @@
 #include "amm/engine.hpp"
 #include "crossbar/rcm.hpp"
 #include "datapath/dtcs_dac.hpp"
-#include "datapath/input_stage_cache.hpp"
 #include "energy/power_report.hpp"
 #include "energy/spin_power.hpp"
 #include "vision/features.hpp"
@@ -78,7 +77,7 @@ struct SpinAmmConfig {
 /// split by pipeline stage and summed across worker chunks [µs]. What
 /// the bench's `pipeline` section reports.
 struct SpinBatchTiming {
-  double dac_us = 0.0;       ///< input-DAC front end (incl. dedup cache)
+  double dac_us = 0.0;       ///< input-DAC front end
   double gemm_us = 0.0;      ///< blocked operator product (crossbar)
   double wta_us = 0.0;       ///< SAR + winner-tracking search
   double assemble_us = 0.0;  ///< Recognition assembly (margin, detail)
@@ -134,24 +133,6 @@ class SpinAmm : public AssociativeEngine {
   /// template set scores identically wherever its columns live.
   double input_full_scale() const { return input_full_scale_; }
 
-  /// Shares an input-stage dedup cache with sibling engines: realised
-  /// input row currents are then looked up by the query's digital codes
-  /// instead of re-evaluating the DACs per engine. Only engines whose
-  /// input stages realise identical currents for identical codes (same
-  /// seed, shared input_full_scale_override and row_target_conductance)
-  /// may share one cache — the RecognitionService wiring guarantees this
-  /// when `dedup_input_stage` is enabled. Pass nullptr to detach.
-  void set_input_stage_cache(std::shared_ptr<InputStageCache> cache) {
-    input_cache_ = std::move(cache);
-  }
-
-  /// Realised input-stage current of `row` at digital `code`, exactly as
-  /// the query path evaluates it — DAC (including any sampled mismatch)
-  /// against the row's programmed load. Inspection / cross-engine
-  /// verification: two engines may share an InputStageCache only if this
-  /// agrees for every row.
-  double realised_input_current(std::size_t row, std::uint32_t code) const;
-
   /// Attaches persistent physical-device state to the crossbar (see
   /// RcmArray::attach_substrate) — how LeafCacheEngine makes reprograms
   /// age real devices and skip unchanged ones. Must be called before
@@ -181,9 +162,8 @@ class SpinAmm : public AssociativeEngine {
   void rebuild_input_dacs(double full_scale);
   std::vector<double> input_row_currents(const FeatureVector& input) const;
   /// Allocation-free front end for the batch path: writes the realised
-  /// per-row input currents into `out[0 .. dimension)`, going through the
-  /// shared dedup cache when one is attached. Values are bit-identical to
-  /// input_row_currents().
+  /// per-row input currents into `out[0 .. dimension)`. Values are
+  /// bit-identical to input_row_currents().
   void input_row_currents_into(const FeatureVector& input, double* out) const;
   Recognition assemble(std::vector<double>&& currents, SpinWtaOutcome&& wta) const;
 
@@ -191,7 +171,6 @@ class SpinAmm : public AssociativeEngine {
   Rng rng_;
   std::unique_ptr<RcmArray> rcm_;
   std::vector<DtcsDac> input_dacs_;  // one per row
-  std::shared_ptr<InputStageCache> input_cache_;
   double input_full_scale_ = 0.0;
   std::unique_ptr<SpinSarWta> wta_;
   bool templates_stored_ = false;

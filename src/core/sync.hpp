@@ -32,8 +32,6 @@
 ///    30   kServiceStats   service counters, breaker Health, histograms
 ///    40   kClientJoin     client-side join/wait state in tests & harnesses
 ///    50   kFaultSwitch    fault-injection stick/throw toggles
-///    60   kInputStage     input-stage memo cache map + stats
-///    70   kSubstrate      reserved: future shared crossbar substrate state
 ///    90   kParallelError  first-exception capture inside parallel_for
 ///
 /// Suppression policy: code that clang's analysis cannot follow (notably
@@ -46,7 +44,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>  // lint:allow(raw-mutex) the one sanctioned wrapper site
-#include <shared_mutex>
 
 // ---------------------------------------------------------------- macros
 //
@@ -65,16 +62,10 @@
 #define SPINSIM_PT_GUARDED_BY(x) SPINSIM_THREAD_ANNOTATION(pt_guarded_by(x))
 #define SPINSIM_REQUIRES(...) \
   SPINSIM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define SPINSIM_REQUIRES_SHARED(...) \
-  SPINSIM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define SPINSIM_ACQUIRE(...) \
   SPINSIM_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define SPINSIM_ACQUIRE_SHARED(...) \
-  SPINSIM_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define SPINSIM_RELEASE(...) \
   SPINSIM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define SPINSIM_RELEASE_SHARED(...) \
-  SPINSIM_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define SPINSIM_TRY_ACQUIRE(...) \
   SPINSIM_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define SPINSIM_EXCLUDES(...) SPINSIM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
@@ -109,8 +100,6 @@ enum class LockRank : int {
   kServiceStats = 30,
   kClientJoin = 40,
   kFaultSwitch = 50,
-  kInputStage = 60,
-  kSubstrate = 70,
   kParallelError = 90,
 };
 
@@ -185,41 +174,6 @@ class SPINSIM_CAPABILITY("mutex") Mutex {
   const int rank_;
 };
 
-// ----------------------------------------------------------- SharedMutex
-
-/// Reader/writer capability with the same rank discipline; shared
-/// acquisition participates in the rank order exactly like exclusive
-/// acquisition (a reader can deadlock a writer just as well).
-class SPINSIM_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) noexcept : rank_(static_cast<int>(rank)) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() SPINSIM_ACQUIRE() {
-    sync_detail::rank_acquire(rank_);
-    native_.lock();
-  }
-  void unlock() SPINSIM_RELEASE() {
-    native_.unlock();
-    sync_detail::rank_release(rank_);
-  }
-  void lock_shared() SPINSIM_ACQUIRE_SHARED() {
-    sync_detail::rank_acquire(rank_);
-    native_.lock_shared();
-  }
-  void unlock_shared() SPINSIM_RELEASE_SHARED() {
-    native_.unlock_shared();
-    sync_detail::rank_release(rank_);
-  }
-
-  int rank() const noexcept { return rank_; }
-
- private:
-  std::shared_mutex native_;
-  const int rank_;
-};
-
 // ------------------------------------------------------------- LockGuard
 
 /// Scoped exclusive hold; the annotated analogue of std::lock_guard.
@@ -237,22 +191,6 @@ class SPINSIM_SCOPED_CAPABILITY LockGuard {
 
  private:
   Mutex& mutex_;
-};
-
-/// Scoped shared (reader) hold on a SharedMutex.
-class SPINSIM_SCOPED_CAPABILITY SharedLockGuard {
- public:
-  explicit SharedLockGuard(SharedMutex& mutex) SPINSIM_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex.lock_shared();
-  }
-  ~SharedLockGuard() SPINSIM_RELEASE() { mutex_.unlock_shared(); }
-
-  SharedLockGuard(const SharedLockGuard&) = delete;
-  SharedLockGuard& operator=(const SharedLockGuard&) = delete;
-
- private:
-  SharedMutex& mutex_;
 };
 
 // ------------------------------------------------------------ UniqueLock

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "amm/fault_injection.hpp"
-#include "amm/spin_amm.hpp"
 #include "core/error.hpp"
 
 namespace spinsim {
@@ -149,7 +148,6 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
     shards_.clear();
     tiered_.clear();
     base_margins_.clear();
-    input_cache_.reset();
     {
       LockGuard lock(queue_mutex_);
       stopping_ = false;
@@ -181,7 +179,13 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
   const std::size_t per_shard = templates.size() / config_.shards;
   const std::size_t remainder = templates.size() % config_.shards;
 
-  shards_.clear();
+  // The new shard set is built in locals and committed only once every
+  // shard has stored its slice: if a factory or store_templates() throws
+  // part-way, no member keeps a pointer into the engines freed with the
+  // half-built set, and a retry starts from a clean slate.
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<TieredEngine*> tiered_engines;
+  std::vector<double> base_margins;
   std::size_t base = 0;
   for (std::size_t s = 0; s < config_.shards; ++s) {
     const std::size_t count = per_shard + (s < remainder ? 1 : 0);
@@ -200,58 +204,16 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
             "RecognitionService: factory sized the engine for the wrong column count");
     shard->leaf_caches = find_leaf_caches(shard->engine.get());
     if (TieredEngine* tiered = find_tiered(shard->engine.get())) {
-      tiered_.push_back(tiered);
-      base_margins_.push_back(tiered->escalation_margin());
+      tiered_engines.push_back(tiered);
+      base_margins.push_back(tiered->escalation_margin());
     }
     base += count;
-    shards_.push_back(std::move(shard));
+    shards.push_back(std::move(shard));
   }
+  shards_ = std::move(shards);
+  tiered_ = std::move(tiered_engines);
+  base_margins_ = std::move(base_margins);
   total_columns_ = templates.size();
-
-  if (config_.dedup_input_stage) {
-    // One per-dispatch cache of realised input row currents, shared by
-    // every shard: the first shard to see a query computes, the rest hit.
-    // Sharing is only sound when every shard's input stage realises the
-    // same currents for the same digital codes, so verify the realised
-    // sizing — full-scale current and per-row conductances — actually
-    // agrees across shards instead of trusting the factory.
-    std::vector<SpinAmm*> spins;
-    spins.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      auto* spin = dynamic_cast<SpinAmm*>(shard->engine.get());
-      require(spin != nullptr,
-              "RecognitionService: dedup_input_stage requires SpinAmm shard engines");
-      spins.push_back(spin);
-    }
-    // The padded row conductance is (target - row_sum) + row_sum, which
-    // agrees across shards only to rounding; one part in 1e9 separates
-    // that from a genuinely different calibration.
-    const auto close = [](double a, double b) {
-      return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
-    };
-    // Probing the realised current at the full-scale code exercises the
-    // whole input stage — DAC bit cells including any sampled mismatch,
-    // not just the row load — so per-shard device seeds that diverge the
-    // DAC banks are caught here, where conductance checks alone pass.
-    const std::uint32_t top_code = spins[0]->config().features.levels() - 1;
-    for (std::size_t s = 1; s < spins.size(); ++s) {
-      require(spins[s]->input_full_scale() == spins[0]->input_full_scale(),
-              "RecognitionService: dedup_input_stage requires a shared "
-              "input_full_scale_override across shards");
-      for (std::size_t row = 0; row < spins[0]->config().features.dimension(); ++row) {
-        require(close(spins[s]->realised_input_current(row, top_code),
-                      spins[0]->realised_input_current(row, top_code)),
-                "RecognitionService: dedup_input_stage requires shards whose "
-                "input stages realise identical currents (shared "
-                "row_target_conductance and device seed, no divergent "
-                "sampled mismatch)");
-      }
-    }
-    input_cache_ = std::make_shared<InputStageCache>();
-    for (SpinAmm* spin : spins) {
-      spin->set_input_stage_cache(input_cache_);
-    }
-  }
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->worker = std::thread([this, s] { shard_loop(s); });
@@ -517,11 +479,6 @@ RecognitionServiceStats RecognitionService::stats() const {
   out.leaf_hit_rate = leaf_lookups == 0
                           ? 0.0
                           : static_cast<double>(out.leaf_hits) / static_cast<double>(leaf_lookups);
-  if (input_cache_ != nullptr) {
-    const InputStageCache::Stats cache_stats = input_cache_->stats();
-    out.input_stage_computes = cache_stats.computes;
-    out.input_stage_hits = cache_stats.hits;
-  }
   return out;
 }
 
@@ -849,13 +806,6 @@ void RecognitionService::post_to_shard(std::size_t index, InFlight& flight) {
 }
 
 void RecognitionService::post_dispatch(InFlight& flight) {
-  if (input_cache_ != nullptr) {
-    // Per-dispatch semantics: entries never outlive their batch, so the
-    // cache footprint stays bounded by the admission window. (With a
-    // batch still in flight this also drops its still-warm entries — a
-    // hit-rate cost only, never a correctness one.)
-    input_cache_->clear();
-  }
   flight.pending.assign(shards_.size(), InFlight::PendingShard{});
   // Shard eligibility: skip workers wedged in an abandoned job, skip
   // shards whose pipeline is already full (depth 2: one running, one

@@ -88,7 +88,6 @@
 #include "core/clock.hpp"
 #include "core/statistics.hpp"
 #include "core/sync.hpp"
-#include "datapath/input_stage_cache.hpp"
 #include "vision/features.hpp"
 
 namespace spinsim {
@@ -128,14 +127,6 @@ struct RecognitionServiceConfig {
   std::chrono::microseconds admission_window{200};
   /// Threads each shard engine's recognize_batch may use internally.
   std::size_t engine_threads = 1;
-  /// Shard-local input-stage dedup: when true, every shard engine must be
-  /// a SpinAmm (store_templates() verifies) and all shards share one
-  /// per-dispatch InputStageCache, so the realised input row currents of
-  /// each query are computed once per dispatch instead of once per shard.
-  /// Only enable with identically configured shards (same seed, shared
-  /// input_full_scale_override and row_target_conductance) — the same
-  /// contract that makes shard scores comparable.
-  bool dedup_input_stage = false;
 
   /// Time source for deadlines, latencies and breaker cooldowns. Null
   /// picks the shared SteadyClock; tests inject a FakeClock. (Condition-
@@ -268,11 +259,6 @@ struct RecognitionServiceStats {
   /// Times the repair rate crossed config.repair_alarm_per_kq from below
   /// (edge-triggered; 0 when the alarm is disabled).
   std::uint64_t repair_alarms = 0;
-
-  // Input-stage dedup accounting (nonzero only with dedup_input_stage):
-  // how many realised-row-current evaluations ran vs were shared.
-  std::uint64_t input_stage_computes = 0;
-  std::uint64_t input_stage_hits = 0;
 
   /// Circuit-breaker position of one shard in the stats snapshot.
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
@@ -527,7 +513,6 @@ class RecognitionService {
   std::shared_ptr<Clock> wall_clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t total_columns_ = 0;
-  std::shared_ptr<InputStageCache> input_cache_;  // set iff dedup_input_stage
   /// Tiered engines inside the shards (directly or behind a
   /// FaultInjectingEngine) — the overload controller's actuators — and
   /// their construction-time margins (the relax ceiling).

@@ -65,7 +65,7 @@ TEST(Sync, RanksReleasedOnException) {
 
 TEST(Sync, UniqueLockReleasesOnManualUnlockAndReacquires) {
   ScopedRankChecks checks;
-  Mutex mutex(LockRank::kInputStage);
+  Mutex mutex(LockRank::kParallelError);
   UniqueLock lock(mutex);
   EXPECT_TRUE(lock.owns_lock());
   EXPECT_EQ(sync_detail::rank_depth(), 1);
@@ -114,16 +114,6 @@ TEST(Sync, EachThreadHasItsOwnRankStack) {
   });
   probe.join();
   EXPECT_TRUE(other_thread_sees_empty);
-}
-
-TEST(Sync, SharedMutexRanksLikeExclusive) {
-  ScopedRankChecks checks;
-  SharedMutex mutex(LockRank::kSubstrate);
-  {
-    SharedLockGuard reader(mutex);
-    EXPECT_EQ(sync_detail::rank_depth(), 1);
-  }
-  EXPECT_EQ(sync_detail::rank_depth(), 0);
 }
 
 using SyncDeathTest = ::testing::Test;

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <future>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -713,61 +712,32 @@ TEST(RecognitionService, LeafEnduranceStatsSurfaceAcrossShards) {
   EXPECT_GT(stats.leaf_columns_remapped, 0u);
 }
 
-TEST(RecognitionService, InputStageDedupComputesRowCurrentsOncePerQuery) {
-  // Shard-local input-stage dedup: with identically configured spin
-  // shards sharing the flat sizing, the realised input row currents of
-  // each query must be computed once per dispatch — the sibling shard
-  // hits the shared cache — and the answers must stay winner-for-winner
-  // identical to the flat engine.
+TEST(RecognitionService, StoreTemplatesRetryAfterFailureDropsStaleEngines) {
+  // A first store_templates() that throws after shard 0's TieredEngine
+  // was built must leave nothing behind: the retry's stats() reads the
+  // live escalation margin through the tiered shard engines, so a stale
+  // pointer into the failed attempt's freed engines would be read here.
   const auto templates = build_templates(testing::small_dataset(), small_spec());
-  const auto inputs = all_inputs();
-
-  SpinAmm flat(clean_spin_config(templates.size()));
-  flat.store_templates(templates);
-  const double full_scale = flat.input_full_scale();
-  const double row_target = flat.crossbar().row_conductance(0);
-
+  const double margins[] = {0.25, 0.75};
+  int attempt = 0;
   RecognitionServiceConfig config;
   config.shards = 2;
-  config.max_batch = inputs.size();  // one dispatch: per-dispatch cache holds
-  config.admission_window = std::chrono::microseconds(2000);
-  config.dedup_input_stage = true;
-  RecognitionService service(config, [&](std::size_t,
-                                         std::size_t columns) -> std::unique_ptr<AssociativeEngine> {
-    SpinAmmConfig c = clean_spin_config(columns);
-    c.input_full_scale_override = full_scale;
-    c.row_target_conductance = row_target;
-    return std::make_unique<SpinAmm>(c);
-  });
+  RecognitionService service(
+      config, [&](std::size_t shard, std::size_t columns) -> std::unique_ptr<AssociativeEngine> {
+        TieredEngineConfig policy;
+        policy.escalation_margin = margins[attempt];
+        // First attempt: shard 1 is sized for the wrong column count.
+        const std::size_t sized = attempt == 0 && shard == 1 ? columns + 1 : columns;
+        return make_tiered_factory(digital_factory(), digital_factory(), policy)(shard, sized);
+      });
+
+  EXPECT_THROW(service.store_templates(templates), InvalidArgument);
+  attempt = 1;
   service.store_templates(templates);
 
-  const std::vector<Recognition> got = service.submit_batch(inputs).get();
-  ASSERT_EQ(got.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Recognition expected = flat.recognize(inputs[i]);
-    EXPECT_EQ(got[i].winner, expected.winner) << "input " << i;
-    EXPECT_EQ(got[i].dom, expected.dom) << "input " << i;
-  }
-
-  // Every distinct query's row currents are evaluated exactly once
-  // across both shards; all other lookups (the sibling shard's, plus any
-  // duplicate reduced inputs) hit the shared cache.
-  std::set<std::vector<std::uint32_t>> distinct;
-  for (const auto& input : inputs) {
-    distinct.insert(input.digital);
-  }
-  const RecognitionServiceStats stats = service.stats();
-  EXPECT_EQ(stats.input_stage_computes, distinct.size());
-  EXPECT_EQ(stats.input_stage_hits, inputs.size() * config.shards - distinct.size());
-}
-
-TEST(RecognitionService, DedupRequiresSpinShards) {
-  RecognitionServiceConfig config;
-  config.shards = 2;
-  config.dedup_input_stage = true;
-  RecognitionService service(config, digital_factory());
-  const auto templates = build_templates(testing::small_dataset(), small_spec());
-  EXPECT_THROW(service.store_templates(templates), InvalidArgument);
+  EXPECT_EQ(service.stats().escalation_margin, margins[1]);
+  const auto inputs = all_inputs();
+  EXPECT_EQ(service.submit_batch(inputs).get().size(), inputs.size());
 }
 
 TEST(RecognitionService, EmptyBatchResolvesImmediately) {
