@@ -699,6 +699,7 @@ OverloadBenchResult run_overload_benchmark() {
   const auto make_factory = [&](std::shared_ptr<FaultSwitch> control) {
     TieredEngineConfig policy;
     policy.escalation_margin = 0.02;
+    policy.min_escalation_margin = 0.0;
     auto tier0 = [spec](std::size_t, std::size_t) -> std::unique_ptr<AssociativeEngine> {
       HierarchicalAmmConfig h;
       h.features = spec;
@@ -797,7 +798,6 @@ OverloadBenchResult run_overload_benchmark() {
     config.overload.enabled = true;
     config.overload.target_p99_us = out.target_p99_us;
     config.overload.brownout_factor = 2.0;
-    config.overload.min_escalation_margin = 0.0;
     config.overload.period_queries = 128;
     return config;
   };

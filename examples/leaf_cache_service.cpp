@@ -132,14 +132,14 @@ int main(int argc, char** argv) {
   }
   const RecognitionServiceStats stats = service.stats();
   std::printf("  %zu/%zu correct | %.0f queries/s | leaf hit rate %.1f %%\n", correct,
-              served.size(), stats.queries_per_sec, 100.0 * stats.leaf_hit_rate);
+              served.size(), stats.queries_per_sec, 100.0 * stats.leaf.hit_rate());
   std::printf("  reprogram energy charged: %.3e J total | energy/query across shards: %.3e J\n",
-              stats.reprogram_energy.in(units::J),
+              stats.leaf.reprogram_energy.in(units::J),
               stats.energy_per_query.in(units::J / units::query));
 
   // The headline: a pool far smaller than the template set serves with
   // useful accuracy because reprogrammed leaves answer identically.
-  const bool ok = correct * 2 > served.size() && stats.leaf_misses > 0;
+  const bool ok = correct * 2 > served.size() && stats.leaf.misses > 0;
   std::printf("\n%s: %zu templates served from %zu programmed slots per shard\n",
               ok ? "OK" : "FAILED", templates.size(), slots);
   return ok ? 0 : 1;

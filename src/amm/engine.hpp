@@ -14,10 +14,15 @@
 ///
 /// The service layer (src/service/) builds exclusively on this interface,
 /// which is what lets one `RecognitionService` shard a template set
-/// across replicas of *any* backend.
+/// across replicas of *any* backend. Three hooks with no-op defaults carry
+/// what the service needs from specific backends without naming them:
+/// idle-time upkeep (maintain), leaf-cache counters (leaf_counters) and
+/// the overload controller's verdict (adapt_to_load). Decorators and
+/// compositions forward them to the engines they wrap.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -119,6 +124,89 @@ struct Recognition {
   }
 };
 
+/// Running totals of the leaf-cache engines inside one engine (snapshot of
+/// atomic counters). LeafCacheEngine fills it; compositions sum their
+/// parts with operator+=; every other backend reports all zeros.
+struct LeafCacheCounters {
+  std::uint64_t queries = 0;      ///< recognitions served
+  /// Slot lookups that found the leaf resident. Singleton clusters are
+  /// answered by the router without consulting a slot and count neither
+  /// as hit nor as miss.
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;       ///< leaf had to be programmed
+  std::uint64_t evictions = 0;    ///< a resident leaf was displaced
+  std::uint64_t reprograms = 0;   ///< arrays programmed (== misses)
+  Energy reprogram_energy;        ///< total write energy charged
+  /// Subset of reprogram_energy spent by self-repair rewrites (priced at
+  /// the same per-device write cost as the miss path).
+  Energy repair_energy;
+  Time reprogram_latency;         ///< total write wall-clock charged
+
+  // Endurance / self-repair accounting:
+  std::uint64_t device_writes = 0;        ///< physical device writes performed
+  std::uint64_t device_writes_saved = 0;  ///< writes avoided by delta reprogramming
+  std::uint64_t repair_device_writes = 0; ///< subset of device_writes from repair rewrites
+  std::uint64_t verify_scans = 0;         ///< verify-read passes run
+  std::uint64_t devices_checked = 0;      ///< verify-reads performed
+  std::uint64_t faults_detected = 0;      ///< verify-reads out of window
+  std::uint64_t devices_rewritten = 0;    ///< in-place repairs that restored the window
+  std::uint64_t columns_remapped = 0;     ///< physical columns retired to spares
+  std::uint64_t repair_reloads = 0;       ///< slot reloads forced by remaps
+  std::uint64_t unrepairable = 0;         ///< faults left in service (spares exhausted)
+  std::uint64_t worn_out_devices = 0;     ///< devices currently stuck (wear or field faults)
+  /// Per-slot cumulative device writes — the pool's wear histogram.
+  std::vector<std::uint64_t> slot_write_cycles;
+
+  std::uint64_t max_slot_write_cycles() const {
+    std::uint64_t worst = 0;
+    for (const std::uint64_t w : slot_write_cycles) {
+      worst = std::max(worst, w);
+    }
+    return worst;
+  }
+
+  double hit_rate() const {
+    const std::uint64_t looked = hits + misses;
+    return looked == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(looked);
+  }
+
+  /// Sums every counter; the slot wear histograms are concatenated, so
+  /// max_slot_write_cycles() stays the worst slot across all the caches.
+  LeafCacheCounters& operator+=(const LeafCacheCounters& other) {
+    queries += other.queries;
+    hits += other.hits;
+    misses += other.misses;
+    evictions += other.evictions;
+    reprograms += other.reprograms;
+    reprogram_energy += other.reprogram_energy;
+    repair_energy += other.repair_energy;
+    reprogram_latency += other.reprogram_latency;
+    device_writes += other.device_writes;
+    device_writes_saved += other.device_writes_saved;
+    repair_device_writes += other.repair_device_writes;
+    verify_scans += other.verify_scans;
+    devices_checked += other.devices_checked;
+    faults_detected += other.faults_detected;
+    devices_rewritten += other.devices_rewritten;
+    columns_remapped += other.columns_remapped;
+    repair_reloads += other.repair_reloads;
+    unrepairable += other.unrepairable;
+    worn_out_devices += other.worn_out_devices;
+    slot_write_cycles.insert(slot_write_cycles.end(), other.slot_write_cycles.begin(),
+                             other.slot_write_cycles.end());
+    return *this;
+  }
+};
+
+/// The overload controller's verdict for one period, from least to most
+/// loaded. Engines with a cost/quality trade (TieredEngine) act on it.
+enum class LoadSignal {
+  kRelax,     ///< p99 well under the SLO: stop forcing, walk back to the configured policy
+  kHold,      ///< p99 under the SLO: stop forcing, keep the current policy
+  kTighten,   ///< p99 over the SLO: trade quality for cost
+  kBrownout,  ///< p99 far over the SLO: cheapest serving only, and tighten
+};
+
 /// One associative-memory module, whatever its substrate.
 ///
 /// Lifecycle: construct -> store_templates() once -> recognise. Engines
@@ -162,6 +250,21 @@ class AssociativeEngine {
   /// `energy_per_query().in(units::pJ / units::query)` or compose with
   /// `Queries` counts — a J-vs-W mixup no longer compiles.
   virtual EnergyPerQuery energy_per_query() const = 0;
+
+  /// Idle-time upkeep (e.g. a leaf cache's verify-read scrub). Runs on
+  /// the thread that serves this engine, between batches, after
+  /// store_templates(). Default: nothing to do.
+  virtual void maintain() {}
+
+  /// Counters of the leaf caches inside this engine, summed. Must stay
+  /// safe to call concurrently with recognition. Default: all zeros.
+  virtual LeafCacheCounters leaf_counters() const { return {}; }
+
+  /// Applies one overload-controller verdict. Called from another thread
+  /// than the serving one, concurrently with recognition, so anything it
+  /// changes must be safe against in-flight traffic. Returns true when
+  /// the serving policy changed. Default: no load-dependent policy.
+  virtual bool adapt_to_load(LoadSignal /*signal*/) { return false; }
 };
 
 }  // namespace spinsim

@@ -25,9 +25,8 @@
 /// failures are a different layer (see the endurance harness); this
 /// decorator models *serving-path* faults.
 ///
-/// The decorator is transparent to the service's stats plumbing:
-/// RecognitionService looks through it (like it looks through
-/// TieredEngine) when hunting for leaf caches and tiered engines.
+/// The engine hooks (maintain, leaf_counters, adapt_to_load) forward to
+/// the inner engine unfaulted: they are not on the serving path.
 
 #pragma once
 
@@ -120,10 +119,12 @@ class FaultInjectingEngine : public AssociativeEngine {
   PowerReport power() const override { return inner_->power(); }
   EnergyPerQuery energy_per_query() const override { return inner_->energy_per_query(); }
 
-  /// The wrapped engine (the service looks through the decorator for
-  /// leaf caches / tiered engines; scrubs need the mutable view).
+  void maintain() override { inner_->maintain(); }
+  LeafCacheCounters leaf_counters() const override { return inner_->leaf_counters(); }
+  bool adapt_to_load(LoadSignal signal) override { return inner_->adapt_to_load(signal); }
+
+  /// The wrapped engine (inspection).
   const AssociativeEngine& inner() const { return *inner_; }
-  AssociativeEngine& inner() { return *inner_; }
 
   FaultInjectionCounters counters() const;
 

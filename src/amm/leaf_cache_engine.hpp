@@ -33,7 +33,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -112,51 +111,6 @@ struct LeafCacheEngineConfig {
   LeafCacheEnduranceConfig endurance;
 };
 
-/// Running totals of one LeafCacheEngine (snapshot of atomic counters).
-struct LeafCacheCounters {
-  std::uint64_t queries = 0;      ///< recognitions served
-  /// Slot lookups that found the leaf resident. Singleton clusters are
-  /// answered by the router without consulting a slot and count neither
-  /// as hit nor as miss.
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;       ///< leaf had to be programmed
-  std::uint64_t evictions = 0;    ///< a resident leaf was displaced
-  std::uint64_t reprograms = 0;   ///< arrays programmed (== misses)
-  Energy reprogram_energy;        ///< total write energy charged
-  /// Subset of reprogram_energy spent by self-repair rewrites (priced at
-  /// the same per-device write cost as the miss path).
-  Energy repair_energy;
-  Time reprogram_latency;         ///< total write wall-clock charged
-
-  // Endurance / self-repair accounting:
-  std::uint64_t device_writes = 0;        ///< physical device writes performed
-  std::uint64_t device_writes_saved = 0;  ///< writes avoided by delta reprogramming
-  std::uint64_t repair_device_writes = 0; ///< subset of device_writes from repair rewrites
-  std::uint64_t verify_scans = 0;         ///< verify-read passes run
-  std::uint64_t devices_checked = 0;      ///< verify-reads performed
-  std::uint64_t faults_detected = 0;      ///< verify-reads out of window
-  std::uint64_t devices_rewritten = 0;    ///< in-place repairs that restored the window
-  std::uint64_t columns_remapped = 0;     ///< physical columns retired to spares
-  std::uint64_t repair_reloads = 0;       ///< slot reloads forced by remaps
-  std::uint64_t unrepairable = 0;         ///< faults left in service (spares exhausted)
-  std::uint64_t worn_out_devices = 0;     ///< devices currently stuck (wear or field faults)
-  /// Per-slot cumulative device writes — the pool's wear histogram.
-  std::vector<std::uint64_t> slot_write_cycles;
-
-  std::uint64_t max_slot_write_cycles() const {
-    std::uint64_t worst = 0;
-    for (const std::uint64_t w : slot_write_cycles) {
-      worst = std::max(worst, w);
-    }
-    return worst;
-  }
-
-  double hit_rate() const {
-    const std::uint64_t looked = hits + misses;
-    return looked == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(looked);
-  }
-};
-
 /// Outcome of one verify-and-repair pass over the resident slots.
 struct LeafRepairReport {
   std::uint64_t devices_checked = 0;
@@ -217,6 +171,7 @@ class LeafCacheEngine : public AssociativeEngine {
 
   /// Counter snapshot (safe while traffic is in flight).
   LeafCacheCounters counters() const;
+  LeafCacheCounters leaf_counters() const override { return counters(); }
 
   /// Verify-reads every resident device against its programmed level
   /// window and (with `endurance.repair`) fixes what it finds: stuck,
@@ -226,6 +181,9 @@ class LeafCacheEngine : public AssociativeEngine {
   /// remap). Runs automatically every `verify_interval` queries; callable
   /// directly from the serving thread. No-op without endurance mode.
   LeafRepairReport verify_and_repair();
+
+  /// Idle-time upkeep: one verify_and_repair() pass.
+  void maintain() override { verify_and_repair(); }
 
   /// Injects a permanent stuck fault into physical device (row, column)
   /// of slot `slot` — `column` indexes the substrate, not the leaf. The

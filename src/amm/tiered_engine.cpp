@@ -1,5 +1,6 @@
 #include "amm/tiered_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/error.hpp"
@@ -14,11 +15,44 @@ TieredEngine::TieredEngine(std::unique_ptr<AssociativeEngine> tier0,
       tier1_(std::move(tier1)),
       margin_(config.escalation_margin) {
   require(tier0_ != nullptr && tier1_ != nullptr, "TieredEngine: both tiers must be non-null");
+  require(config_.escalation_margin >= 0.0,
+          "TieredEngine: escalation margin cannot be negative");
+  require(config_.margin_step > 0.0 && config_.margin_step <= 1.0,
+          "TieredEngine: margin_step must lie in (0, 1]");
+  require(config_.min_escalation_margin >= 0.0,
+          "TieredEngine: min_escalation_margin cannot be negative");
 }
 
-void TieredEngine::set_escalation_margin(double margin) {
-  require(margin >= 0.0, "TieredEngine: escalation margin cannot be negative");
-  margin_.store(margin, std::memory_order_relaxed);
+bool TieredEngine::adapt_to_load(LoadSignal signal) {
+  bool changed = false;
+  if (signal == LoadSignal::kBrownout) {
+    changed = !force_tier0_.exchange(true, std::memory_order_relaxed);
+  } else if (signal != LoadSignal::kTighten) {
+    changed = force_tier0_.exchange(false, std::memory_order_relaxed);
+  }
+  const double margin = escalation_margin();
+  double next = margin;
+  if (signal == LoadSignal::kTighten || signal == LoadSignal::kBrownout) {
+    next = std::max(config_.min_escalation_margin, margin * config_.margin_step);
+  } else if (signal == LoadSignal::kRelax) {
+    next = std::min(config_.escalation_margin, margin / config_.margin_step);
+  }
+  if (next != margin) {
+    margin_.store(next, std::memory_order_relaxed);
+    changed = true;
+  }
+  return changed;
+}
+
+void TieredEngine::maintain() {
+  tier0_->maintain();
+  tier1_->maintain();
+}
+
+LeafCacheCounters TieredEngine::leaf_counters() const {
+  LeafCacheCounters out = tier0_->leaf_counters();
+  out += tier1_->leaf_counters();
+  return out;
 }
 
 std::string TieredEngine::name() const {

@@ -15,8 +15,10 @@
 ///
 /// TieredEngine is itself an AssociativeEngine, so it composes anywhere a
 /// backend does: directly, or as a shard backend behind RecognitionService
-/// (see make_tiered_factory in service/recognition_service.hpp). Counters
-/// are atomics, safe to snapshot while traffic is in flight.
+/// (see make_tiered_factory in service/recognition_service.hpp). It
+/// forwards maintain() and leaf_counters() to both tiers, and answers
+/// adapt_to_load() by servoing its escalation threshold. Counters and
+/// policy knobs are atomics, safe to use while traffic is in flight.
 
 #pragma once
 
@@ -38,6 +40,11 @@ struct TieredEngineConfig {
   double escalation_margin = 0.05;
   bool escalate_rejected = true;  ///< escalate tier-0 accepted == false
   bool escalate_ties = true;      ///< escalate tier-0 unique == false
+  /// Multiplicative step of adapt_to_load(): tighten multiplies the live
+  /// margin by this (in (0, 1]), relax divides by it.
+  double margin_step = 0.5;
+  /// Floor adapt_to_load() never tightens the live margin below.
+  double min_escalation_margin = 0.0;
 };
 
 /// Running totals of one TieredEngine (snapshot of atomic counters).
@@ -59,30 +66,41 @@ struct TieredCounters {
 class TieredEngine : public AssociativeEngine {
  public:
   /// Both tiers must be sized for the same template set; store_templates()
-  /// programs them from one slice and verifies the counts agree.
+  /// programs them from one slice and verifies the counts agree. Throws
+  /// InvalidArgument on a negative escalation_margin or
+  /// min_escalation_margin, or a margin_step outside (0, 1].
   TieredEngine(std::unique_ptr<AssociativeEngine> tier0, std::unique_ptr<AssociativeEngine> tier1,
                const TieredEngineConfig& config = {});
 
   /// The construction-time policy. `config().escalation_margin` is the
-  /// *initial* threshold; the live one is escalation_margin() (the
-  /// service's overload controller servos it at runtime).
+  /// *initial* threshold and the ceiling relaxing returns to; the live one
+  /// is escalation_margin() (adapt_to_load() servos it at runtime).
   const TieredEngineConfig& config() const { return config_; }
 
   /// Live escalation threshold (atomic: safe against in-flight traffic).
   double escalation_margin() const { return margin_.load(std::memory_order_relaxed); }
 
-  /// Adjusts the live escalation threshold. Raising it escalates more
-  /// (more accuracy, more energy/latency); lowering it keeps more
-  /// traffic in the cheap tier. The service-edge overload controller
-  /// calls this against the p99-latency SLO. Thread-safe.
-  void set_escalation_margin(double margin);
-
   /// Brown-out: while forced, no query escalates — every answer comes
-  /// from tier 0 whatever its confidence. The overload controller's
-  /// second watermark; answers served this way are flagged `degraded`
-  /// by the service merge. Thread-safe.
-  void set_force_tier0(bool force) { force_tier0_.store(force, std::memory_order_relaxed); }
+  /// from tier 0 whatever its confidence. Answers served this way are
+  /// flagged `degraded` by the service merge.
   bool force_tier0() const { return force_tier0_.load(std::memory_order_relaxed); }
+
+  /// The overload controller's verdict, against a p99-latency SLO. A
+  /// higher live margin escalates more (more accuracy, more
+  /// energy/latency); a lower one keeps more traffic in the cheap tier.
+  /// kTighten multiplies the live margin by margin_step (floored at
+  /// min_escalation_margin); kBrownout forces tier 0, then tightens;
+  /// kHold lifts the forcing; kRelax lifts it, then divides the margin by
+  /// margin_step (capped at config().escalation_margin). Tightening from
+  /// a positive margin never reaches exactly zero, so relaxing always
+  /// recovers. Returns true when the margin or the forcing changed. Safe
+  /// against in-flight traffic; one caller at a time.
+  bool adapt_to_load(LoadSignal signal) override;
+
+  /// Both tiers' upkeep, tier 0 first.
+  void maintain() override;
+  /// Both tiers' leaf-cache counters, summed.
+  LeafCacheCounters leaf_counters() const override;
 
   std::string name() const override;
   std::size_t template_count() const override { return tier1_->template_count(); }
@@ -116,10 +134,6 @@ class TieredEngine : public AssociativeEngine {
 
   const AssociativeEngine& tier0() const { return *tier0_; }
   const AssociativeEngine& tier1() const { return *tier1_; }
-  /// Mutable tier access, for owners only: the service walks through
-  /// here to reach scrub-able leaf caches inside a tier.
-  AssociativeEngine& tier0() { return *tier0_; }
-  AssociativeEngine& tier1() { return *tier1_; }
 
  private:
   bool should_escalate(const Recognition& first) const;
@@ -131,8 +145,8 @@ class TieredEngine : public AssociativeEngine {
 
   // Threading: a TieredEngine is served by one shard worker; the tiers
   // themselves are never shared. The atomics below exist so *other*
-  // threads (counters()/stats snapshots, live policy pokes) can read and
-  // write concurrently with serving. All relaxed: the knobs are
+  // threads (counters()/stats snapshots, adapt_to_load from the overload
+  // controller) can read and write concurrently with serving. All relaxed: the knobs are
   // independent policy samples with no publication protocol (each query
   // reads whatever value is current), and the counters are monotonic
   // tallies with no cross-counter invariant a snapshot must observe.

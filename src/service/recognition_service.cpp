@@ -5,47 +5,9 @@
 #include <limits>
 #include <utility>
 
-#include "amm/fault_injection.hpp"
 #include "core/error.hpp"
 
 namespace spinsim {
-
-namespace {
-
-/// Leaf-cache engines reachable from `engine`, looking through tiered
-/// compositions (e.g. a TieredEngine with a leaf-cache tier 0 built by
-/// stacking make_tiered_factory on make_leaf_cache_factory) and through
-/// FaultInjectingEngine decorators, so stats() and idle scrubbing find
-/// the cache wherever it sits. Mutable: scrubs call verify_and_repair().
-std::vector<LeafCacheEngine*> find_leaf_caches(AssociativeEngine* engine) {
-  std::vector<LeafCacheEngine*> found;
-  if (auto* leaf_cache = dynamic_cast<LeafCacheEngine*>(engine)) {
-    found.push_back(leaf_cache);
-  } else if (auto* tiered = dynamic_cast<TieredEngine*>(engine)) {
-    for (AssociativeEngine* tier : {&tiered->tier0(), &tiered->tier1()}) {
-      const std::vector<LeafCacheEngine*> below = find_leaf_caches(tier);
-      found.insert(found.end(), below.begin(), below.end());
-    }
-  } else if (auto* faulty = dynamic_cast<FaultInjectingEngine*>(engine)) {
-    const std::vector<LeafCacheEngine*> below = find_leaf_caches(&faulty->inner());
-    found.insert(found.end(), below.begin(), below.end());
-  }
-  return found;
-}
-
-/// The TieredEngine a shard serves from, looking through a
-/// FaultInjectingEngine decorator — the overload controller's actuator.
-TieredEngine* find_tiered(AssociativeEngine* engine) {
-  if (auto* tiered = dynamic_cast<TieredEngine*>(engine)) {
-    return tiered;
-  }
-  if (auto* faulty = dynamic_cast<FaultInjectingEngine*>(engine)) {
-    return find_tiered(&faulty->inner());
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 RecognitionService::RecognitionService(const RecognitionServiceConfig& config,
                                        EngineFactory factory)
@@ -69,14 +31,10 @@ RecognitionService::RecognitionService(const RecognitionServiceConfig& config,
     const OverloadControlConfig& oc = config_.overload;
     require(oc.target_p99_us > 0.0,
             "RecognitionService: overload control needs a positive target_p99_us");
-    require(oc.margin_step > 0.0 && oc.margin_step <= 1.0,
-            "RecognitionService: overload margin_step must lie in (0, 1]");
     require(oc.brownout_factor >= 1.0,
             "RecognitionService: overload brownout_factor must be >= 1");
     require(oc.low_watermark >= 0.0 && oc.low_watermark < 1.0,
             "RecognitionService: overload low_watermark must lie in [0, 1)");
-    require(oc.min_escalation_margin >= 0.0,
-            "RecognitionService: overload min_escalation_margin cannot be negative");
     require(oc.period_queries >= 1,
             "RecognitionService: overload period_queries must be positive");
   }
@@ -146,8 +104,6 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
     // and controller state resets — the new shard set starts clean.
     stop_threads();
     shards_.clear();
-    tiered_.clear();
-    base_margins_.clear();
     {
       LockGuard lock(queue_mutex_);
       stopping_ = false;
@@ -179,13 +135,10 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
   const std::size_t per_shard = templates.size() / config_.shards;
   const std::size_t remainder = templates.size() % config_.shards;
 
-  // The new shard set is built in locals and committed only once every
+  // The new shard set is built in a local and committed only once every
   // shard has stored its slice: if a factory or store_templates() throws
-  // part-way, no member keeps a pointer into the engines freed with the
-  // half-built set, and a retry starts from a clean slate.
+  // part-way, a retry starts from a clean slate.
   std::vector<std::unique_ptr<Shard>> shards;
-  std::vector<TieredEngine*> tiered_engines;
-  std::vector<double> base_margins;
   std::size_t base = 0;
   for (std::size_t s = 0; s < config_.shards; ++s) {
     const std::size_t count = per_shard + (s < remainder ? 1 : 0);
@@ -202,17 +155,10 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
     // their template count from store_templates().
     require(shard->engine->template_count() == count,
             "RecognitionService: factory sized the engine for the wrong column count");
-    shard->leaf_caches = find_leaf_caches(shard->engine.get());
-    if (TieredEngine* tiered = find_tiered(shard->engine.get())) {
-      tiered_engines.push_back(tiered);
-      base_margins.push_back(tiered->escalation_margin());
-    }
     base += count;
     shards.push_back(std::move(shard));
   }
   shards_ = std::move(shards);
-  tiered_ = std::move(tiered_engines);
-  base_margins_ = std::move(base_margins);
   total_columns_ = templates.size();
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -418,20 +364,11 @@ RecognitionServiceStats RecognitionService::stats() const {
       health[s] = health_[s];
     }
   }
-  // Live escalation threshold: the servo output, averaged over the
-  // tiered shard engines (atomic reads, safe against traffic).
-  if (!tiered_.empty()) {
-    double margin_sum = 0.0;
-    for (const TieredEngine* tiered : tiered_) {
-      margin_sum += tiered->escalation_margin();
-    }
-    out.escalation_margin = margin_sum / static_cast<double>(tiered_.size());
-  }
-  // Per-shard engine-time quantiles, health, and the per-query energy
-  // estimate. Every query visits every (healthy) shard, so the energies
-  // add; tiered shard engines fold their observed escalation rate in
-  // (energy_per_query is documented safe to call concurrently with
-  // recognition).
+  // Per-shard engine-time quantiles, health, the per-query energy
+  // estimate and the leaf-cache counters. Every query visits every
+  // (healthy) shard, so the energies add; tiered shard engines fold their
+  // observed escalation rate in (energy_per_query and leaf_counters are
+  // documented safe to call concurrently with recognition).
   out.shards.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto& shard = shards_[s];
@@ -457,28 +394,8 @@ RecognitionServiceStats RecognitionService::stats() const {
     out.breaker_ejections += ss.ejections;
     out.shards.push_back(ss);
     out.energy_per_query += shard->engine->energy_per_query();
-    for (const LeafCacheEngine* leaf_cache : shard->leaf_caches) {
-      const LeafCacheCounters counters = leaf_cache->counters();
-      out.leaf_hits += counters.hits;
-      out.leaf_misses += counters.misses;
-      out.reprogram_energy += counters.reprogram_energy;
-      out.repair_energy += counters.repair_energy;
-      out.leaf_device_writes += counters.device_writes;
-      out.leaf_device_writes_saved += counters.device_writes_saved;
-      out.leaf_faults_detected += counters.faults_detected;
-      out.leaf_devices_rewritten += counters.devices_rewritten;
-      out.leaf_columns_remapped += counters.columns_remapped;
-      out.leaf_unrepairable += counters.unrepairable;
-      out.leaf_worn_out_devices += counters.worn_out_devices;
-      out.leaf_verify_scans += counters.verify_scans;
-      out.leaf_max_slot_write_cycles =
-          std::max(out.leaf_max_slot_write_cycles, counters.max_slot_write_cycles());
-    }
+    out.leaf += shard->engine->leaf_counters();
   }
-  const std::uint64_t leaf_lookups = out.leaf_hits + out.leaf_misses;
-  out.leaf_hit_rate = leaf_lookups == 0
-                          ? 0.0
-                          : static_cast<double>(out.leaf_hits) / static_cast<double>(leaf_lookups);
   return out;
 }
 
@@ -647,14 +564,12 @@ void RecognitionService::collector_loop() {
 }
 
 std::uint64_t RecognitionService::repair_events_total() const {
-  // Relaxed atomic counter reads inside the leaf caches — safe against
-  // live worker traffic, no lock taken.
+  // Relaxed atomic counter reads inside the engines — safe against live
+  // worker traffic, no lock taken.
   std::uint64_t events = 0;
   for (const auto& shard : shards_) {
-    for (const LeafCacheEngine* leaf_cache : shard->leaf_caches) {
-      const LeafCacheCounters counters = leaf_cache->counters();
-      events += counters.devices_rewritten + counters.columns_remapped;
-    }
+    const LeafCacheCounters counters = shard->engine->leaf_counters();
+    events += counters.devices_rewritten + counters.columns_remapped;
   }
   return events;
 }
@@ -685,20 +600,12 @@ void RecognitionService::maybe_post_idle_scrub() {
   if (config_.idle_scrub_interval == 0 || queries_since_scrub_ < config_.idle_scrub_interval) {
     return;
   }
-  bool posted = false;
   for (auto& shard : shards_) {
-    if (shard->leaf_caches.empty()) {
-      continue;
-    }
     {
       LockGuard lock(shard->mutex);
       shard->scrub = true;
     }
     shard->cv.notify_all();
-    posted = true;
-  }
-  if (!posted) {
-    return;
   }
   queries_since_scrub_ = 0;
   LockGuard lock(stats_mutex_);
@@ -743,12 +650,10 @@ void RecognitionService::shard_loop(std::size_t index) {
       }
     }
     if (do_scrub) {
-      // Verify-read scrub out of the serving path (the collector only
-      // posts these when the service is idle). This thread is the only
-      // one touching the engine, so no lock is held while scanning.
-      for (LeafCacheEngine* leaf_cache : shard->leaf_caches) {
-        leaf_cache->verify_and_repair();
-      }
+      // Upkeep out of the serving path (the collector only posts it when
+      // the service is idle). This thread is the only one serving the
+      // engine, so no lock is held meanwhile.
+      shard->engine->maintain();
       continue;
     }
     Completion done;
@@ -1044,9 +949,6 @@ void RecognitionService::complete_dispatch(InFlight& flight) {
       error = std::make_exception_ptr(
           Overloaded("RecognitionService: no healthy shard available for the batch"));
     }
-    for (auto& request : batch) {
-      request.deliver(Recognition{}, error);
-    }
     // Failed queries still count: every delivered future shows up in
     // `queries` (and in `failed`), so mean_batch_size keeps meaning
     // dispatched/batches whatever the error rate. Latency stats only
@@ -1057,6 +959,10 @@ void RecognitionService::complete_dispatch(InFlight& flight) {
       stat_failed_ += batch.size();
       stat_dispatched_ += batch.size();
       stat_batches_ += 1;
+    }
+    maybe_raise_repair_alarm();
+    for (auto& request : batch) {
+      request.deliver(Recognition{}, error);
     }
     finish_dispatch(batch.size());
     return;
@@ -1113,8 +1019,8 @@ void RecognitionService::complete_dispatch(InFlight& flight) {
     merged.push_back(std::move(answer));
   }
 
-  // Stats first: once a future resolves, a client may read stats() and
-  // must see its own query counted.
+  // Stats first, the repair alarm included: once a future resolves, a
+  // client may read stats() and must see its own query counted.
   {
     LockGuard lock(stats_mutex_);
     stat_queries_ += batch.size();
@@ -1135,6 +1041,7 @@ void RecognitionService::complete_dispatch(InFlight& flight) {
       stat_latency_us_.add(latency_us);
     }
   }
+  maybe_raise_repair_alarm();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i].deliver(std::move(merged[i]), nullptr);
   }
@@ -1144,10 +1051,9 @@ void RecognitionService::complete_dispatch(InFlight& flight) {
 }
 
 void RecognitionService::finish_dispatch(std::size_t delivered) {
-  // Post-delivery bookkeeping, once per finalised batch: the repair-rate
-  // alarm edge check, the in-flight/idle accounting drain() waits on,
-  // and (when the service went idle) an opportunistic scrub post.
-  maybe_raise_repair_alarm();
+  // Post-delivery bookkeeping, once per finalised batch: the
+  // in-flight/idle accounting drain() waits on, and (when the service
+  // went idle) an opportunistic scrub post.
   bool idle = false;
   {
     LockGuard lock(queue_mutex_);
@@ -1165,7 +1071,7 @@ void RecognitionService::finish_dispatch(std::size_t delivered) {
 
 void RecognitionService::controller_step(const std::vector<double>& latencies_us) {
   const OverloadControlConfig& oc = config_.overload;
-  if (!oc.enabled || tiered_.empty()) {
+  if (!oc.enabled) {
     return;
   }
   for (const double latency : latencies_us) {
@@ -1177,50 +1083,29 @@ void RecognitionService::controller_step(const std::vector<double>& latencies_us
     return;
   }
   const double p99 = std::min(window_latency_us_.percentile(0.99), window_max_us_);
-  bool changed = false;
-  // Multiplicative servo on the live TieredEngine escalation threshold:
-  // tighten = escalate less (cheaper, faster), relax = walk back toward
-  // the construction-time margin. Tightening from a positive margin never
-  // reaches exactly zero, so relaxing (division) always recovers.
-  const auto adjust = [&](bool tighten) {
-    for (std::size_t i = 0; i < tiered_.size(); ++i) {
-      const double margin = tiered_[i]->escalation_margin();
-      const double next = tighten
-                              ? std::max(oc.min_escalation_margin, margin * oc.margin_step)
-                              : std::min(base_margins_[i], margin / oc.margin_step);
-      if (next != margin) {
-        tiered_[i]->set_escalation_margin(next);
-        changed = true;
-      }
-    }
-  };
+  // Past the second watermark: brown out and keep tightening for the
+  // recovery. Between the target and that watermark: tighten, and a
+  // brown-out already in force holds (hysteresis). Back under the SLO:
+  // brown-out lifts, and a deep margin walks back once p99 clears the
+  // low watermark.
+  LoadSignal signal = LoadSignal::kHold;
   if (p99 > oc.brownout_factor * oc.target_p99_us) {
-    // Second watermark: brown out — tier 0 answers everything, answers
-    // are flagged `degraded` — and keep tightening for the recovery.
-    if (!brownout_) {
-      brownout_ = true;
-      for (TieredEngine* tiered : tiered_) {
-        tiered->set_force_tier0(true);
-      }
-      changed = true;
-    }
-    adjust(/*tighten=*/true);
+    signal = LoadSignal::kBrownout;
   } else if (p99 > oc.target_p99_us) {
-    adjust(/*tighten=*/true);
-  } else {
-    // Back under the SLO: brown-out lifts (hysteresis: it held while p99
-    // sat between the target and the brown-out watermark), and a deep
-    // margin walks back once p99 clears the low watermark.
-    if (brownout_) {
-      brownout_ = false;
-      for (TieredEngine* tiered : tiered_) {
-        tiered->set_force_tier0(false);
-      }
-      changed = true;
-    }
-    if (p99 < oc.low_watermark * oc.target_p99_us) {
-      adjust(/*tighten=*/false);
-    }
+    signal = LoadSignal::kTighten;
+  } else if (p99 < oc.low_watermark * oc.target_p99_us) {
+    signal = LoadSignal::kRelax;
+  }
+  // The engines are served concurrently on their workers; adapt_to_load
+  // is documented safe against in-flight traffic.
+  bool changed = false;
+  for (auto& shard : shards_) {
+    changed = shard->engine->adapt_to_load(signal) || changed;
+  }
+  if (signal == LoadSignal::kBrownout && changed) {
+    brownout_ = true;
+  } else if (signal == LoadSignal::kHold || signal == LoadSignal::kRelax) {
+    brownout_ = false;
   }
   window_latency_us_ = GeometricHistogram{};
   window_max_us_ = 0.0;

@@ -54,19 +54,24 @@
 ///    shards that did respond, with `Recognition.coverage` < 1 telling
 ///    the client which fraction of the template set was searched.
 ///  * Adaptive overload control — with `overload.enabled`, a controller
-///    on the collector thread servos the TieredEngine escalation
-///    threshold against a p99-latency SLO; past a second watermark it
-///    forces tier-0-only *brown-out* serving (answers flagged
-///    `degraded`) until the latency recovers.
+///    on the collector thread turns each period's p99 latency into one
+///    LoadSignal and hands it to every shard engine's adapt_to_load();
+///    TieredEngine shards servo their escalation threshold and, past a
+///    second watermark, force tier-0-only *brown-out* serving (answers
+///    flagged `degraded`) until the latency recovers.
 ///  * Graceful shutdown — destruction and store_templates() re-init fail
 ///    every queued future with ServiceStopped; a future is never
 ///    silently dropped. (A worker stuck *inside* an engine call must be
 ///    unstuck — e.g. FaultSwitch::release() — before destruction, or the
 ///    join blocks; the service cannot preempt a hung engine.)
 ///  * Idle scrubbing — with `idle_scrub_interval`, the collector posts
-///    LeafCacheEngine verify-read scrubs to the shard workers whenever
-///    the service goes idle after enough traffic, so endurance repair
-///    runs out of the serving path.
+///    an AssociativeEngine::maintain() round to every shard worker
+///    whenever the service goes idle after enough traffic, so upkeep
+///    such as leaf-cache verify-read repair runs out of the serving path.
+///
+/// The service reaches shard engines only through AssociativeEngine: the
+/// three hooks maintain(), leaf_counters() and adapt_to_load() carry
+/// everything backend-specific.
 ///
 /// All time is read through the injected core/clock.hpp Clock, so every
 /// one of these policies is testable with a FakeClock and zero sleeps.
@@ -92,10 +97,12 @@
 
 namespace spinsim {
 
-/// Collector-thread overload controller: servo the tiered escalation
-/// threshold (and, past a second watermark, brown out to tier-0-only
-/// serving) against a client-latency SLO. Inert unless the shard engines
-/// are TieredEngines (directly or behind a FaultInjectingEngine).
+/// Collector-thread overload controller: once per period it compares the
+/// client p99 latency with the SLO and sends the verdict (a LoadSignal)
+/// to every shard engine's adapt_to_load(). Only engines with a
+/// load-dependent policy act on it (TieredEngine, whose margin_step and
+/// min_escalation_margin set the servo's step and floor); with none, the
+/// controller changes nothing.
 struct OverloadControlConfig {
   bool enabled = false;
   /// The p99 client-latency SLO the controller defends [us].
@@ -104,14 +111,10 @@ struct OverloadControlConfig {
   /// forces tier-0-only serving (answers flagged `degraded`) until p99
   /// falls back under the target.
   double brownout_factor = 2.0;
-  /// Relax watermark: p99 below `low_watermark * target_p99_us` walks the
-  /// escalation threshold back toward its construction-time value.
+  /// Relax watermark: p99 below `low_watermark * target_p99_us` sends
+  /// kRelax, which walks the escalation threshold back toward its
+  /// construction-time value.
   double low_watermark = 0.5;
-  /// Floor the servo never tightens the escalation margin below.
-  double min_escalation_margin = 0.0;
-  /// Multiplicative step per adjustment period: tighten multiplies the
-  /// live margin by this (in (0, 1]), relax divides by it.
-  double margin_step = 0.5;
   /// Delivered queries per controller decision (the p99 window length).
   std::uint64_t period_queries = 256;
 };
@@ -156,8 +159,8 @@ struct RecognitionServiceConfig {
   std::chrono::microseconds breaker_max_cooldown{5000000};
   /// Idle scrubbing: when > 0 and the service goes idle after at least
   /// this many delivered queries since the last round, the collector
-  /// posts a verify-read scrub (LeafCacheEngine::verify_and_repair) to
-  /// every shard worker holding leaf caches. 0 disables.
+  /// posts AssociativeEngine::maintain() to every shard worker (for leaf
+  /// caches, a verify-read scrub). 0 disables.
   std::uint64_t idle_scrub_interval = 0;
   /// Repair-rate alarm: when > 0, the collector raises an alarm each time
   /// the live self-repair rate — leaf devices rewritten plus columns
@@ -203,11 +206,7 @@ struct RecognitionServiceStats {
   std::uint64_t best_effort = 0;       ///< answers with coverage < 1
   double mean_coverage = 0.0;          ///< mean Recognition.coverage (successes)
   bool brownout_active = false;        ///< controller currently forcing tier 0
-  /// Mean live TieredEngine escalation threshold across shards (the servo
-  /// output; equals the construction-time margin when the controller is
-  /// off or inactive, 0 with no tiered shards).
-  double escalation_margin = 0.0;
-  std::uint64_t controller_adjustments = 0;  ///< periods that changed the servo
+  std::uint64_t controller_adjustments = 0;  ///< periods that changed some engine
 
   // Shard fault accounting, summed across shards.
   std::uint64_t shard_failures = 0;   ///< dispatch attempts that threw
@@ -230,30 +229,14 @@ struct RecognitionServiceStats {
   /// `.in(units::pJ / units::query)`.
   EnergyPerQuery energy_per_query;
 
-  // Leaf-cache accounting, summed across shards (nonzero only with
-  // LeafCacheEngine shard backends — see make_leaf_cache_factory):
-  // slot hits/misses, the hit rate, and the total write energy charged
-  // for on-demand leaf reprogramming.
-  std::uint64_t leaf_hits = 0;
-  std::uint64_t leaf_misses = 0;
-  double leaf_hit_rate = 0.0;        ///< leaf_hits / (leaf_hits + leaf_misses)
-  Energy reprogram_energy;           ///< total leaf write energy
-  Energy repair_energy;              ///< subset spent by self-repair rewrites
-
-  // Endurance / self-repair accounting, summed across the same leaf
-  // caches (nonzero only when their endurance config is active):
-  std::uint64_t leaf_device_writes = 0;        ///< physical device writes
-  std::uint64_t leaf_device_writes_saved = 0;  ///< delta-reprogram skips
-  std::uint64_t leaf_faults_detected = 0;      ///< verify-reads out of window
-  std::uint64_t leaf_devices_rewritten = 0;    ///< in-place repairs
-  std::uint64_t leaf_columns_remapped = 0;     ///< columns retired to spares
-  std::uint64_t leaf_unrepairable = 0;         ///< faults left in service
-  std::uint64_t leaf_worn_out_devices = 0;     ///< devices currently stuck
-  std::uint64_t leaf_max_slot_write_cycles = 0;  ///< worst slot wear anywhere
-  std::uint64_t leaf_verify_scans = 0;         ///< verify-read passes run
-  std::uint64_t idle_scrubs = 0;               ///< idle scrub rounds posted
-  /// Live self-repair pressure: (leaf_devices_rewritten +
-  /// leaf_columns_remapped) per 1000 delivered queries. 0 until the first
+  /// Leaf-cache accounting (AssociativeEngine::leaf_counters), summed
+  /// across shards: slot hits/misses, write energy, endurance and
+  /// self-repair. All zeros without LeafCacheEngine shard backends (see
+  /// make_leaf_cache_factory).
+  LeafCacheCounters leaf;
+  std::uint64_t idle_scrubs = 0;  ///< maintain() rounds posted to every shard
+  /// Live self-repair pressure: (leaf.devices_rewritten +
+  /// leaf.columns_remapped) per 1000 delivered queries. 0 until the first
   /// delivery.
   double repair_rate_per_kq = 0.0;
   /// Times the repair rate crossed config.repair_alarm_per_kq from below
@@ -368,9 +351,6 @@ class RecognitionService {
     std::size_t base = 0;     ///< global index of the shard's first template
     std::size_t columns = 0;  ///< templates stored on this shard
     std::thread worker;
-    /// Mutable leaf caches inside `engine` (scrub targets), found once at
-    /// store_templates() — the worker thread runs the scrubs.
-    std::vector<LeafCacheEngine*> leaf_caches;
 
     /// One posted batch in the shard's job queue. Shared ownership of the
     /// inputs, not a raw pointer: when the watchdog abandons a wedged
@@ -399,7 +379,7 @@ class RecognitionService {
     std::uint64_t abandoned_gen SPINSIM_GUARDED_BY(mutex) = 0;
     /// Worker is inside an engine call it has not finished.
     bool busy SPINSIM_GUARDED_BY(mutex) = false;
-    bool scrub SPINSIM_GUARDED_BY(mutex) = false;  ///< pending idle scrub
+    bool scrub SPINSIM_GUARDED_BY(mutex) = false;  ///< pending maintain() round
     bool stop SPINSIM_GUARDED_BY(mutex) = false;
 
     // Engine time per dispatched batch [us], written by the worker under
@@ -455,9 +435,9 @@ class RecognitionService {
 
   void collector_loop();
   void shard_loop(std::size_t index);
-  /// Clears the per-dispatch input cache and posts `flight` to every
-  /// eligible shard (not wedged, job queue not full, breaker admits —
-  /// an elapsed cooldown admits one half-open probe).
+  /// Posts `flight` to every eligible shard (not wedged, job queue not
+  /// full, breaker admits — an elapsed cooldown admits one half-open
+  /// probe).
   void post_dispatch(InFlight& flight);
   /// Pushes a generation-tagged job for `flight` onto shard `index`'s
   /// queue and records the post (generation, watchdog deadline) in
@@ -480,7 +460,7 @@ class RecognitionService {
   /// margin cap, global winner, coverage), stats, delivery, controller.
   void complete_dispatch(InFlight& flight);
   /// Post-delivery bookkeeping shared by both complete_dispatch paths:
-  /// repair-alarm edge check, in-flight/idle accounting, idle scrub.
+  /// in-flight/idle accounting, idle scrub.
   void finish_dispatch(std::size_t delivered);
   /// True when some shard could start a new batch immediately (idle
   /// worker, empty job queue, breaker not holding it out) — the gate for
@@ -498,10 +478,12 @@ class RecognitionService {
   /// Resets every stats counter (the store_templates re-init path).
   void reset_stats_locked() SPINSIM_REQUIRES(stats_mutex_);
   /// Sum of self-repair events (devices rewritten + columns remapped)
-  /// across every shard leaf cache — relaxed atomic reads, lock-free.
+  /// across every shard's leaf_counters() — relaxed atomic reads,
+  /// lock-free.
   std::uint64_t repair_events_total() const;
-  /// Edge-triggered repair-rate alarm, evaluated by the collector after
-  /// each dispatch (see RecognitionServiceConfig::repair_alarm_per_kq).
+  /// Edge-triggered repair-rate alarm, evaluated by the collector for
+  /// each finalised dispatch after its stats are counted and before its
+  /// futures resolve (see RecognitionServiceConfig::repair_alarm_per_kq).
   void maybe_raise_repair_alarm();
 
   RecognitionServiceConfig config_;
@@ -513,11 +495,6 @@ class RecognitionService {
   std::shared_ptr<Clock> wall_clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t total_columns_ = 0;
-  /// Tiered engines inside the shards (directly or behind a
-  /// FaultInjectingEngine) — the overload controller's actuators — and
-  /// their construction-time margins (the relax ceiling).
-  std::vector<TieredEngine*> tiered_;
-  std::vector<double> base_margins_;
 
   std::thread collector_;
   /// Admission queue + lifecycle. Rank kServiceQueue: acquired before any
@@ -592,7 +569,8 @@ RecognitionService::EngineFactory make_tiered_factory(RecognitionService::Engine
 /// the cluster count to its column count (at least two clusters, at most
 /// columns / 2 so every leaf can hold two templates) and salts the
 /// k-means/module seed by the shard index so replicas don't share device
-/// noise. stats() then surfaces the summed hit rate and reprogram energy.
+/// noise. stats().leaf then surfaces the summed hit rate and reprogram
+/// energy.
 RecognitionService::EngineFactory make_leaf_cache_factory(const LeafCacheEngineConfig& config);
 
 }  // namespace spinsim

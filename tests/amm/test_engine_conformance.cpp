@@ -405,6 +405,108 @@ TEST(EngineConformanceRandomized, LeafCache) {
   });
 }
 
+bool leaf_counters_zero(const LeafCacheCounters& c) {
+  const std::uint64_t counts[] = {
+      c.queries,         c.hits,           c.misses,          c.evictions,
+      c.reprograms,      c.device_writes,  c.device_writes_saved, c.repair_device_writes,
+      c.verify_scans,    c.devices_checked, c.faults_detected, c.devices_rewritten,
+      c.columns_remapped, c.repair_reloads, c.unrepairable,    c.worn_out_devices};
+  for (const std::uint64_t count : counts) {
+    if (count != 0) {
+      return false;
+    }
+  }
+  return c.reprogram_energy == Energy{} && c.repair_energy == Energy{} &&
+         c.reprogram_latency == Time{} && c.slot_write_cycles.empty();
+}
+
+TEST(EngineConformance, HooksAreInertWhereNotOverridden) {
+  // The three service hooks across all six backends: maintain() on a
+  // healthy engine never changes an answer, only the leaf cache reports
+  // leaf counters, and only the tiered engine adapts to load.
+  const auto templates = build_templates(testing::small_dataset(), small_spec());
+  const auto inputs = all_inputs(small_spec());
+  HierarchicalAmmConfig hc = randomized_hierarchy_config(21);
+
+  struct Backend {
+    std::string label;
+    std::function<std::unique_ptr<AssociativeEngine>()> make;
+  };
+  const Backend backends[] = {
+      {"spin", [] { return std::make_unique<SpinAmm>(clean_spin_config()); }},
+      {"digital",
+       [] {
+         DigitalAmmConfig c;
+         c.features = small_spec();
+         c.templates = 10;
+         return std::make_unique<DigitalAmm>(c);
+       }},
+      {"mscmos",
+       [] {
+         MsCmosAmmConfig c;
+         c.features = small_spec();
+         c.templates = 10;
+         return std::make_unique<MsCmosAmm>(c);
+       }},
+      {"hierarchical", [hc] { return std::make_unique<HierarchicalAmm>(hc); }},
+      {"tiered",
+       [hc] {
+         TieredEngineConfig policy;
+         policy.escalation_margin = 0.05;
+         return std::make_unique<TieredEngine>(std::make_unique<HierarchicalAmm>(hc),
+                                               std::make_unique<SpinAmm>(clean_spin_config()),
+                                               policy);
+       }},
+      {"leaf-cache",
+       [hc] {
+         // Endurance mode, so maintain() actually verify-reads the
+         // resident slots instead of returning early.
+         LeafCacheEngineConfig c;
+         c.hierarchy = hc;
+         c.leaf_slots = 2;
+         c.endurance.delta_writes = true;
+         return std::make_unique<LeafCacheEngine>(c);
+       }},
+  };
+
+  for (const Backend& backend : backends) {
+    SCOPED_TRACE(backend.label);
+    std::unique_ptr<AssociativeEngine> maintained = backend.make();
+    std::unique_ptr<AssociativeEngine> control = backend.make();
+    maintained->store_templates(templates);
+    control->store_templates(templates);
+    (void)maintained->recognize_batch(inputs, 2);
+    (void)control->recognize_batch(inputs, 2);
+    maintained->maintain();
+    const std::vector<Recognition> got = maintained->recognize_batch(inputs, 2);
+    const std::vector<Recognition> want = control->recognize_batch(inputs, 2);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].winner, want[i].winner) << "query " << i;
+      EXPECT_EQ(got[i].unique, want[i].unique) << "query " << i;
+      EXPECT_EQ(got[i].dom, want[i].dom) << "query " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << "query " << i;
+      EXPECT_EQ(got[i].margin, want[i].margin) << "query " << i;
+      EXPECT_EQ(got[i].accepted, want[i].accepted) << "query " << i;
+    }
+
+    const bool is_leaf_cache = backend.label == "leaf-cache";
+    EXPECT_EQ(leaf_counters_zero(maintained->leaf_counters()), !is_leaf_cache);
+    if (is_leaf_cache) {
+      EXPECT_GE(maintained->leaf_counters().verify_scans, 1u) << "maintain() scanned";
+      EXPECT_EQ(maintained->leaf_counters().queries, 2 * inputs.size());
+    }
+
+    const bool is_tiered = backend.label == "tiered";
+    // Ordered so every step changes a tiered engine: tighten the margin,
+    // brown out (force + tighten), lift the forcing, relax the margin.
+    for (const LoadSignal signal :
+         {LoadSignal::kTighten, LoadSignal::kBrownout, LoadSignal::kHold, LoadSignal::kRelax}) {
+      EXPECT_EQ(maintained->adapt_to_load(signal), is_tiered);
+    }
+  }
+}
+
 TEST(EngineConformance, PolymorphicUseThroughBasePointer) {
   const auto templates = build_templates(testing::small_dataset(), small_spec());
   const auto inputs = all_inputs(small_spec());

@@ -11,6 +11,7 @@
 #include "amm/digital_amm.hpp"
 #include "amm/hierarchical_amm.hpp"
 #include "amm/spin_amm.hpp"
+#include "core/error.hpp"
 #include "support/shared_dataset.hpp"
 
 namespace spinsim {
@@ -62,6 +63,78 @@ std::unique_ptr<TieredEngine> make_tiered(const TieredEngineConfig& policy,
 TEST(TieredEngine, RejectsNullTiers) {
   EXPECT_THROW(TieredEngine(nullptr, std::make_unique<DigitalAmm>(DigitalAmmConfig{}), {}),
                InvalidArgument);
+}
+
+TEST(TieredEngine, RejectsInvalidServoPolicy) {
+  // Rejected at construction: a negative margin that reached the
+  // overload controller's first relax step would only fail there, on the
+  // service's collector thread, where a throw terminates the process.
+  const auto make = [](const TieredEngineConfig& policy) {
+    return TieredEngine(std::make_unique<DigitalAmm>(DigitalAmmConfig{}),
+                        std::make_unique<DigitalAmm>(DigitalAmmConfig{}), policy);
+  };
+  TieredEngineConfig negative_margin;
+  negative_margin.escalation_margin = -0.1;
+  EXPECT_THROW(make(negative_margin), InvalidArgument);
+  TieredEngineConfig zero_step;
+  zero_step.margin_step = 0.0;
+  EXPECT_THROW(make(zero_step), InvalidArgument);
+  TieredEngineConfig large_step;
+  large_step.margin_step = 1.5;
+  EXPECT_THROW(make(large_step), InvalidArgument);
+  TieredEngineConfig negative_floor;
+  negative_floor.min_escalation_margin = -0.01;
+  EXPECT_THROW(make(negative_floor), InvalidArgument);
+  TieredEngineConfig unit_step;
+  unit_step.margin_step = 1.0;  // the closed end of (0, 1]
+  EXPECT_NO_THROW(make(unit_step));
+}
+
+TEST(TieredEngine, AdaptToLoadServosMarginAndBrownout) {
+  TieredEngineConfig policy;
+  policy.escalation_margin = 0.4;
+  policy.margin_step = 0.5;
+  policy.min_escalation_margin = 0.05;
+  auto tiered = make_tiered(policy, 8);
+
+  // Tighten halves the live margin down to the floor, then holds there.
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kTighten));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.2);
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kTighten));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.1);
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kTighten));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.05);
+  EXPECT_FALSE(tiered->adapt_to_load(LoadSignal::kTighten)) << "already at the floor";
+  EXPECT_FALSE(tiered->force_tier0()) << "tightening alone never browns out";
+
+  // Brown-out forces tier 0 (a change even at the floor), once.
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kBrownout));
+  EXPECT_TRUE(tiered->force_tier0());
+  EXPECT_FALSE(tiered->adapt_to_load(LoadSignal::kBrownout));
+  EXPECT_FALSE(tiered->adapt_to_load(LoadSignal::kTighten));
+  EXPECT_TRUE(tiered->force_tier0()) << "tighten keeps a brown-out in force";
+
+  // Hold lifts the forcing and leaves the margin alone.
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kHold));
+  EXPECT_FALSE(tiered->force_tier0());
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.05);
+  EXPECT_FALSE(tiered->adapt_to_load(LoadSignal::kHold));
+
+  // Relax doubles back up to the construction margin and stops there.
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kRelax));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.1);
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kRelax));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.2);
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kRelax));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.4);
+  EXPECT_FALSE(tiered->adapt_to_load(LoadSignal::kRelax)) << "already at the ceiling";
+
+  // Relax also lifts a brown-out, even with nothing left to relax.
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kBrownout));
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.2) << "brown-out also tightens";
+  EXPECT_TRUE(tiered->adapt_to_load(LoadSignal::kRelax));
+  EXPECT_FALSE(tiered->force_tier0());
+  EXPECT_DOUBLE_EQ(tiered->escalation_margin(), 0.4);
 }
 
 TEST(TieredEngine, ForcedEscalationMatchesFlatTier1) {

@@ -187,6 +187,8 @@ TEST(ServiceOverload, BrownoutForcesTier0AndFlagsDegraded) {
   auto clock = std::make_shared<FakeClock>();
   TieredEngineConfig tiered;
   tiered.escalation_margin = 0.5;
+  tiered.min_escalation_margin = 0.01;
+  tiered.margin_step = 0.5;
 
   RecognitionServiceConfig config;
   config.shards = 1;
@@ -197,16 +199,17 @@ TEST(ServiceOverload, BrownoutForcesTier0AndFlagsDegraded) {
   config.overload.target_p99_us = 100.0;
   config.overload.brownout_factor = 2.0;
   config.overload.low_watermark = 0.5;
-  config.overload.min_escalation_margin = 0.01;
-  config.overload.margin_step = 0.5;
   config.overload.period_queries = 1;
 
   auto tiered_factory = make_tiered_factory(scripted_factory({1.0, 0.2, true}),
                                             scripted_factory({2.0, 0.9, true}), tiered);
+  const TieredEngine* tiered_engine = nullptr;
   RecognitionService service(
       config, [&](std::size_t shard, std::size_t columns) -> std::unique_ptr<AssociativeEngine> {
-        return std::make_unique<FaultInjectingEngine>(tiered_factory(shard, columns),
-                                                      FaultInjectionConfig{}, control);
+        std::unique_ptr<AssociativeEngine> engine = tiered_factory(shard, columns);
+        tiered_engine = dynamic_cast<const TieredEngine*>(engine.get());
+        return std::make_unique<FaultInjectingEngine>(std::move(engine), FaultInjectionConfig{},
+                                                      control);
       });
   service.store_templates(scripted_templates());
 
@@ -240,7 +243,8 @@ TEST(ServiceOverload, BrownoutForcesTier0AndFlagsDegraded) {
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_FALSE(stats.brownout_active);
   EXPECT_GE(stats.controller_adjustments, 2u);  // tighten+brown-out, then relax
-  EXPECT_DOUBLE_EQ(stats.escalation_margin, 0.5) << "servo walked back to its base";
+  ASSERT_NE(tiered_engine, nullptr);
+  EXPECT_DOUBLE_EQ(tiered_engine->escalation_margin(), 0.5) << "servo walked back to its base";
 }
 
 TEST(ServiceOverload, IdleScrubRunsDuringIdleWindows) {
@@ -268,12 +272,12 @@ TEST(ServiceOverload, IdleScrubRunsDuringIdleWindows) {
 
   // The scrub round is posted by the collector and runs on the shard
   // workers; wait (yielding, no sleeps) for the counters to land.
-  while (service.stats().idle_scrubs < 1 || service.stats().leaf_verify_scans < 1) {
+  while (service.stats().idle_scrubs < 1 || service.stats().leaf.verify_scans < 1) {
     std::this_thread::yield();
   }
   const RecognitionServiceStats stats = service.stats();
   EXPECT_GE(stats.idle_scrubs, 1u);
-  EXPECT_GE(stats.leaf_verify_scans, 1u) << "scrub reached the leaf caches";
+  EXPECT_GE(stats.leaf.verify_scans, 1u) << "scrub reached the leaf caches";
 }
 
 TEST(ServiceOverload, RepairRateAlarmIsEdgeTriggered) {
@@ -330,12 +334,12 @@ TEST(ServiceOverload, RepairRateAlarmIsEdgeTriggered) {
   // alarm after every dispatch.
   std::size_t queries = 1;
   RecognitionServiceStats stats = service.stats();
-  while (stats.leaf_devices_rewritten + stats.leaf_columns_remapped == 0 && queries < 200) {
+  while (stats.leaf.devices_rewritten + stats.leaf.columns_remapped == 0 && queries < 200) {
     service.submit(inputs[queries % inputs.size()]).get();
     ++queries;
     stats = service.stats();
   }
-  ASSERT_GT(stats.leaf_devices_rewritten + stats.leaf_columns_remapped, 0u)
+  ASSERT_GT(stats.leaf.devices_rewritten + stats.leaf.columns_remapped, 0u)
       << "injected stuck-shorts never provoked a repair";
   EXPECT_GT(stats.repair_rate_per_kq, config.repair_alarm_per_kq);
   EXPECT_EQ(stats.repair_alarms, 1u) << "one excursion, one alarm";

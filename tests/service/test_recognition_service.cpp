@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "amm/digital_amm.hpp"
+#include "amm/fault_injection.hpp"
 #include "amm/hierarchical_amm.hpp"
 #include "amm/leaf_cache_engine.hpp"
 #include "amm/spin_amm.hpp"
@@ -623,21 +624,22 @@ TEST(RecognitionService, LeafCacheShardsServeOversizedTemplateSets) {
 
   const RecognitionServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries, inputs.size());
-  EXPECT_GT(stats.leaf_misses, 0u);  // something had to be programmed
-  EXPECT_GE(stats.leaf_hit_rate, 0.0);
-  EXPECT_LE(stats.leaf_hit_rate, 1.0);
-  EXPECT_DOUBLE_EQ(stats.leaf_hit_rate,
-                   static_cast<double>(stats.leaf_hits) /
-                       static_cast<double>(stats.leaf_hits + stats.leaf_misses));
-  EXPECT_GT(stats.reprogram_energy, Energy{});
+  EXPECT_GT(stats.leaf.misses, 0u);  // something had to be programmed
+  EXPECT_GE(stats.leaf.hit_rate(), 0.0);
+  EXPECT_LE(stats.leaf.hit_rate(), 1.0);
+  EXPECT_DOUBLE_EQ(stats.leaf.hit_rate(),
+                   static_cast<double>(stats.leaf.hits) /
+                       static_cast<double>(stats.leaf.hits + stats.leaf.misses));
+  EXPECT_GT(stats.leaf.reprogram_energy, Energy{});
   EXPECT_GT(stats.energy_per_query, EnergyPerQuery{});
 }
 
 TEST(RecognitionService, LeafCacheCountersSurfaceThroughTieredComposition) {
   // Stacking the factories this service ships — a leaf-cache tier 0
   // under a flat spin tier 1 — wraps the LeafCacheEngine inside a
-  // TieredEngine per shard. stats() must still find the caches and
-  // surface hit/miss/reprogram counters, not silently read zero.
+  // TieredEngine per shard, and a FaultInjectingEngine may wrap that in
+  // turn. stats() must still surface the caches' hit/miss/reprogram
+  // counters through either wrapper, not silently read zero.
   const auto templates = build_templates(testing::small_dataset(), small_spec());
   const auto inputs = all_inputs();
 
@@ -651,21 +653,29 @@ TEST(RecognitionService, LeafCacheCountersSurfaceThroughTieredComposition) {
   auto tier1 = [](std::size_t, std::size_t columns) -> std::unique_ptr<AssociativeEngine> {
     return std::make_unique<SpinAmm>(clean_spin_config(columns));
   };
+  const RecognitionService::EngineFactory tiered =
+      make_tiered_factory(make_leaf_cache_factory(leaf_config), tier1);
+  const RecognitionService::EngineFactory faulty_tiered = [tiered](std::size_t shard,
+                                                                   std::size_t columns) {
+    return std::unique_ptr<AssociativeEngine>(std::make_unique<FaultInjectingEngine>(
+        tiered(shard, columns), FaultInjectionConfig{}));
+  };
 
-  RecognitionServiceConfig config;
-  config.shards = 2;
-  config.max_batch = 8;
-  RecognitionService service(
-      config, make_tiered_factory(make_leaf_cache_factory(leaf_config), tier1));
-  service.store_templates(templates);
+  for (const auto& factory : {tiered, faulty_tiered}) {
+    RecognitionServiceConfig config;
+    config.shards = 2;
+    config.max_batch = 8;
+    RecognitionService service(config, factory);
+    service.store_templates(templates);
 
-  const std::vector<Recognition> got = service.submit_batch(inputs).get();
-  ASSERT_EQ(got.size(), inputs.size());
+    const std::vector<Recognition> got = service.submit_batch(inputs).get();
+    ASSERT_EQ(got.size(), inputs.size());
 
-  const RecognitionServiceStats stats = service.stats();
-  EXPECT_GT(stats.leaf_misses, 0u) << "tiered wrapper hid the leaf-cache counters";
-  EXPECT_GT(stats.leaf_hits + stats.leaf_misses, 0u);
-  EXPECT_GT(stats.reprogram_energy, Energy{});
+    const RecognitionServiceStats stats = service.stats();
+    EXPECT_GT(stats.leaf.misses, 0u) << "tiered wrapper hid the leaf-cache counters";
+    EXPECT_GT(stats.leaf.hits + stats.leaf.misses, 0u);
+    EXPECT_GT(stats.leaf.reprogram_energy, Energy{});
+  }
 }
 
 TEST(RecognitionService, LeafEnduranceStatsSurfaceAcrossShards) {
@@ -702,24 +712,26 @@ TEST(RecognitionService, LeafEnduranceStatsSurfaceAcrossShards) {
   }
 
   const RecognitionServiceStats stats = service.stats();
-  EXPECT_GT(stats.leaf_device_writes, 0u);
-  EXPECT_GT(stats.leaf_device_writes_saved, 0u);
-  EXPECT_GT(stats.leaf_max_slot_write_cycles, 0u);
+  EXPECT_GT(stats.leaf.device_writes, 0u);
+  EXPECT_GT(stats.leaf.device_writes_saved, 0u);
+  EXPECT_GT(stats.leaf.max_slot_write_cycles(), 0u);
   // Finite endurance under thrash: devices died in the field, the scans
   // noticed, and the repair path spent spare columns on them.
-  EXPECT_GT(stats.leaf_worn_out_devices, 0u);
-  EXPECT_GT(stats.leaf_faults_detected, 0u);
-  EXPECT_GT(stats.leaf_columns_remapped, 0u);
+  EXPECT_GT(stats.leaf.worn_out_devices, 0u);
+  EXPECT_GT(stats.leaf.faults_detected, 0u);
+  EXPECT_GT(stats.leaf.columns_remapped, 0u);
 }
 
 TEST(RecognitionService, StoreTemplatesRetryAfterFailureDropsStaleEngines) {
   // A first store_templates() that throws after shard 0's TieredEngine
-  // was built must leave nothing behind: the retry's stats() reads the
-  // live escalation margin through the tiered shard engines, so a stale
-  // pointer into the failed attempt's freed engines would be read here.
+  // was built must leave nothing behind: the retry's stats() reads every
+  // shard engine, so a stale pointer into the failed attempt's freed
+  // engines would be read here. The live margin is read off the engines
+  // the retry built.
   const auto templates = build_templates(testing::small_dataset(), small_spec());
   const double margins[] = {0.25, 0.75};
   int attempt = 0;
+  std::vector<const TieredEngine*> built;
   RecognitionServiceConfig config;
   config.shards = 2;
   RecognitionService service(
@@ -728,14 +740,25 @@ TEST(RecognitionService, StoreTemplatesRetryAfterFailureDropsStaleEngines) {
         policy.escalation_margin = margins[attempt];
         // First attempt: shard 1 is sized for the wrong column count.
         const std::size_t sized = attempt == 0 && shard == 1 ? columns + 1 : columns;
-        return make_tiered_factory(digital_factory(), digital_factory(), policy)(shard, sized);
+        std::unique_ptr<AssociativeEngine> engine =
+            make_tiered_factory(digital_factory(), digital_factory(), policy)(shard, sized);
+        if (attempt == 1) {
+          built.push_back(dynamic_cast<const TieredEngine*>(engine.get()));
+        }
+        return engine;
       });
 
   EXPECT_THROW(service.store_templates(templates), InvalidArgument);
   attempt = 1;
   service.store_templates(templates);
 
-  EXPECT_EQ(service.stats().escalation_margin, margins[1]);
+  (void)service.stats();
+  ASSERT_EQ(built.size(), 2u);
+  double margin_sum = 0.0;
+  for (const TieredEngine* tiered : built) {
+    margin_sum += tiered->escalation_margin();
+  }
+  EXPECT_EQ(margin_sum / static_cast<double>(built.size()), margins[1]);
   const auto inputs = all_inputs();
   EXPECT_EQ(service.submit_batch(inputs).get().size(), inputs.size());
 }

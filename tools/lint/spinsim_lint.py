@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for spinsim.
 
-Seven checks, each encoding a repo invariant the compiler cannot see:
+Eight checks, each encoding a repo invariant the compiler cannot see:
 
   rng-determinism   No ambient/unseeded randomness outside src/core/random*:
                     std::random_device, rand()/srand(), and time()-derived
@@ -48,6 +48,13 @@ Seven checks, each encoding a repo invariant the compiler cannot see:
                     seq_cst, which both hides the intended protocol from
                     reviewers and costs fences the hot paths measured in
                     BENCH_recognition.json cannot afford.
+
+  service-downcast  No dynamic_cast under src/service/: the service reaches
+                    shard engines only through the AssociativeEngine
+                    interface and its hooks (maintain, leaf_counters,
+                    adapt_to_load). A downcast into a tier, a leaf cache or
+                    a decorator ties the service to one backend and keeps
+                    pointers into engines it does not own.
 
 Usage: tools/lint/spinsim_lint.py [--root DIR]
 Exit status: 0 clean, 1 violations found.
@@ -263,6 +270,23 @@ def check_atomic_order(root, path, rel, lines, findings, suppressed):
                        "the protocol and costs fences on hot paths"))
 
 
+# --- check: service-downcast ---------------------------------------------
+
+DOWNCAST_RE = re.compile(r"\bdynamic_cast\s*<")
+
+
+def check_service_downcast(root, path, rel, lines, findings, suppressed):
+    if rel.parts[:2] != ("src", "service"):
+        return
+    for lineno, raw in enumerate(lines, 1):
+        code = strip_comments_and_strings(raw)
+        if DOWNCAST_RE.search(code):
+            record(findings, suppressed, raw, "service-downcast",
+                   Finding("service-downcast", rel, lineno, raw,
+                           "reach shard engines through AssociativeEngine "
+                           "hooks, not by downcasting to a backend"))
+
+
 # --------------------------------------------------------------------------
 
 def record(findings, suppressed, raw_line, check, finding):
@@ -274,7 +298,8 @@ def record(findings, suppressed, raw_line, check, finding):
 
 
 CHECKS = [check_rng, check_raw_double, check_bare_lock, check_sleep,
-          check_bare_clock, check_raw_mutex, check_atomic_order]
+          check_bare_clock, check_raw_mutex, check_atomic_order,
+          check_service_downcast]
 
 
 def main():
