@@ -205,7 +205,7 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
   // The front end is shareable when evaluating a query never mutates the
   // crossbar: the ideal closed form is const once its operator is built,
   // and the transfer operator is const once prepared. CG/factored solves
-  // mutate solver state, so they stay on the calling thread.
+  // mutate solver state, so those paths run every chunk on this thread.
   const bool parasitic = config_.model == CrossbarModel::kParasitic;
   bool shareable = !parasitic;
   if (parasitic && config_.parasitic_solver == CrossbarSolver::kTransfer) {
@@ -222,47 +222,31 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
 
   // Workers are sized against the query count; the dispatch below then
   // hands each worker whole chunks of kMinItemsPerThread queries, so one
-  // chunk is one DAC -> GEMM -> WTA -> assemble pipeline pass over a
-  // cache-resident slice of the flat buffers.
-  threads = resolve_threads(threads, batch);
+  // chunk is one DAC -> GEMM -> WTA -> assemble pipeline pass over
+  // cache-resident thread-local buffers.
+  threads = shareable ? resolve_threads(threads, batch) : 1;
   const std::size_t chunk_size = kMinItemsPerThread;
   const std::size_t num_chunks = (batch + chunk_size - 1) / chunk_size;
 
-  // Flat column-current buffer C (batch x cols): query q's currents live
-  // at C[q * cols .. (q + 1) * cols).
-  std::vector<double> currents_flat(batch * cols);
-
   // Per-chunk stage timings, summed into batch_timing_ after the join
   // (disjoint slots, so no synchronisation needed).
-  std::vector<double> dac_us(num_chunks, 0.0);
-  std::vector<double> gemm_us(num_chunks, 0.0);
-  std::vector<double> wta_us(num_chunks, 0.0);
-  std::vector<double> assemble_us(num_chunks, 0.0);
+  std::vector<SpinBatchTiming> chunk_timing(num_chunks);
 
   // Reserve the batch's WTA noise slots up front: chunk workers then
   // consume exactly the slots a sequential recognize() loop would.
   const std::uint64_t base = wta_->reserve_query_slots(batch);
 
-  if (!shareable) {
-    // CG/factored parasitic solves mutate the network; run the front end
-    // serially on this thread (counted as the DAC stage — there is no
-    // separate GEMM on this path), then let WTA + assemble fan out below.
-    const auto t0 = clock->now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::vector<double> c = column_currents(inputs[i]);
-      std::copy(c.begin(), c.end(), currents_flat.begin() + static_cast<std::ptrdiff_t>(i * cols));
-    }
-    dac_us[0] = elapsed_us(t0, clock->now());
-  }
-
   parallel_for_resolved(num_chunks, threads, [&](std::size_t c) {
     const std::size_t q0 = c * chunk_size;
     const std::size_t qn = std::min(chunk_size, batch - q0);
-    double* chunk_currents = currents_flat.data() + q0 * cols;
+    // The chunk's column currents: query qi's live at
+    // chunk_currents[qi * cols .. (qi + 1) * cols).
+    thread_local std::vector<double> currents_scratch;
+    currents_scratch.resize(chunk_size * cols);
+    double* chunk_currents = currents_scratch.data();
 
     if (shareable) {
-      // Stage 1 — DAC front end into thread-local scratch (no per-query
-      // heap allocation).
+      // Stage 1 — DAC front end into thread-local scratch.
       thread_local std::vector<double> input_scratch;
       input_scratch.resize(chunk_size * dim);
       const auto t0 = clock->now();
@@ -279,8 +263,17 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
         rcm_->column_currents_ideal_batch(input_scratch.data(), qn, chunk_currents);
       }
       const auto t2 = clock->now();
-      dac_us[c] = elapsed_us(t0, t1);
-      gemm_us[c] = elapsed_us(t1, t2);
+      chunk_timing[c].dac_us = elapsed_us(t0, t1);
+      chunk_timing[c].gemm_us = elapsed_us(t1, t2);
+    } else {
+      // CG/factored solve per query (counted as the DAC stage — there is
+      // no separate GEMM on this path).
+      const auto t0 = clock->now();
+      for (std::size_t qi = 0; qi < qn; ++qi) {
+        const std::vector<double> currents = column_currents(inputs[q0 + qi]);
+        std::copy(currents.begin(), currents.end(), chunk_currents + qi * cols);
+      }
+      chunk_timing[c].dac_us = elapsed_us(t0, clock->now());
     }
 
     // Stage 3 — WTA winner search per query slot.
@@ -293,24 +286,26 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
     const auto t3 = clock->now();
 
     // Stage 4 — assemble Recognitions (the detail keeps a per-query copy
-    // of the currents, as the sequential path does).
+    // of the currents, as the sequential path does: with the outcome's
+    // dom_codes and tracking, the three allocations per query that
+    // tests/alloc allows).
     for (std::size_t qi = 0; qi < qn; ++qi) {
       const double* q_currents = chunk_currents + qi * cols;
       results[q0 + qi] = assemble(std::vector<double>(q_currents, q_currents + cols),
                                   std::move(outcomes[qi]));
     }
     const auto t4 = clock->now();
-    wta_us[c] = elapsed_us(t2, t3);
-    assemble_us[c] = elapsed_us(t3, t4);
+    chunk_timing[c].wta_us = elapsed_us(t2, t3);
+    chunk_timing[c].assemble_us = elapsed_us(t3, t4);
   });
 
   SpinBatchTiming timing;
   timing.queries = static_cast<std::uint64_t>(batch);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    timing.dac_us += dac_us[c];
-    timing.gemm_us += gemm_us[c];
-    timing.wta_us += wta_us[c];
-    timing.assemble_us += assemble_us[c];
+  for (const SpinBatchTiming& chunk : chunk_timing) {
+    timing.dac_us += chunk.dac_us;
+    timing.gemm_us += chunk.gemm_us;
+    timing.wta_us += chunk.wta_us;
+    timing.assemble_us += chunk.assemble_us;
   }
   batch_timing_ = timing;
   return results;

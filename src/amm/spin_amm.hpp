@@ -110,16 +110,21 @@ class SpinAmm : public AssociativeEngine {
 
   /// Batched recognition: results[i] corresponds to inputs[i], and is
   /// winner-for-winner identical to calling recognize() on each input in
-  /// order. The batch flows through flat rows x batch buffers in chunks
-  /// of kMinItemsPerThread queries, each chunk a DAC -> blocked-GEMM ->
-  /// WTA -> assemble pipeline on one worker: when the crossbar path is
-  /// safely shareable (ideal model, or parasitic with the
-  /// transfer-operator solver) the crossbar stage is one cache-blocked
-  /// matrix product per chunk against the cached operator, and the WTA
-  /// stage always fans out because its thermal noise comes from
-  /// counter-based per-query streams (SpinSarWta::run_query_span) rather
-  /// than one shared sequential draw order. threads == 0 picks hardware
-  /// concurrency; last_batch_timing() reports the per-stage wall clock.
+  /// order. The batch flows through thread-local buffers in chunks of
+  /// kMinItemsPerThread queries, each chunk a DAC -> blocked-GEMM -> WTA
+  /// -> assemble pipeline on one worker. Chunks fan out across workers
+  /// when the crossbar path is safely shareable (ideal model, or
+  /// parasitic with the transfer-operator solver): the crossbar stage is
+  /// then one cache-blocked matrix product per chunk against the cached
+  /// operator, and the WTA stage is thread-safe because its thermal noise
+  /// comes from counter-based per-query streams
+  /// (SpinSarWta::run_query_span) rather than one shared sequential draw
+  /// order. CG/factored solves mutate the network, so those run on the
+  /// calling thread. threads == 0 picks hardware concurrency;
+  /// last_batch_timing() reports the per-stage wall clock.
+  /// In steady state the only heap allocations per query are the
+  /// result's three vectors (detail currents, dom_codes, tracking);
+  /// tests/alloc counts them.
   std::vector<Recognition> recognize_batch(const std::vector<FeatureVector>& inputs,
                                            std::size_t threads = 0) override;
 

@@ -16,7 +16,9 @@ std::string Netlist::node_label(NodeId n) const {
 }
 
 void Netlist::check_node(NodeId n, const char* context) const {
-  require(n < node_count(), std::string(context) + ": node id out of range");
+  if (n >= node_count()) {
+    throw InvalidArgument(std::string(context) + ": node id out of range");
+  }
 }
 
 void Netlist::add_resistor(NodeId a, NodeId b, double resistance, std::string name) {

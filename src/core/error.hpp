@@ -67,8 +67,12 @@ namespace detail {
 }  // namespace detail
 
 /// Validates a documented precondition of a public API and throws
-/// InvalidArgument with the given message if it does not hold.
-inline void require(bool condition, const std::string& message) {
+/// InvalidArgument with the given message if it does not hold. The message
+/// is a `const char*` so the exception's string is built only on failure: a
+/// passing check on the hot path costs one branch and no heap allocation
+/// (tests/alloc pins this). A caller that needs a composed message checks
+/// the condition itself and throws InvalidArgument on the failure branch.
+inline void require(bool condition, const char* message) {
   if (!condition) {
     throw InvalidArgument(message);
   }

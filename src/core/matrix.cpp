@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace spinsim {
 
@@ -173,6 +174,81 @@ namespace {
 // aarch64's 32.
 constexpr std::size_t kGemmTile = 4;
 
+// Queries per r-major input panel: the batch path hands the kernel chunks
+// of this many queries (kMinItemsPerThread), so one panel is one chunk.
+constexpr std::size_t kGemmPanel = 16;
+
+// In every tile below, the k-loop (over r) stays outermost and strictly
+// sequential: each accumulator sees offset, then r = 0, 1, ... in order —
+// the exact addition sequence of the scalar matvec.
+
+/// Two queries' values of one operator row as a GCC/Clang vector. The
+/// arithmetic is element-wise IEEE, so every lane computes exactly what
+/// the scalar loop would. Two lanes is SSE2's native width on baseline
+/// x86-64 (wider generic vectors are kept in memory there), and spelling
+/// the lanes out keeps the compiler from vectorising along r instead.
+typedef double QueryPair __attribute__((vector_size(2 * sizeof(double))));
+constexpr std::size_t kPairs = kGemmTile / 2;
+
+/// A full kGemmTile x kGemmTile tile with compile-time bounds. `xt` is
+/// the panel at the tile's first query: xt[r * kGemmPanel + qi].
+void gemm_full_tile(const double* op, const double* offset, const double* xt, std::size_t rows,
+                    std::size_t cols, double* c) {
+  QueryPair acc[kGemmTile][kPairs];  // lane l of acc[ji][p] is query 2p + l
+  for (std::size_t ji = 0; ji < kGemmTile; ++ji) {
+    const double o = offset != nullptr ? offset[ji] : 0.0;
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      acc[ji][p] = QueryPair{o, o};
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    QueryPair x_r[kPairs];
+    std::memcpy(x_r, xt + r * kGemmPanel, sizeof x_r);
+    for (std::size_t ji = 0; ji < kGemmTile; ++ji) {
+      const double a = op[ji * rows + r];
+      const QueryPair a_jr{a, a};
+      for (std::size_t p = 0; p < kPairs; ++p) {
+        acc[ji][p] += a_jr * x_r[p];
+      }
+    }
+  }
+  double out[kGemmTile][kGemmTile];  // out[ji][qi]; whole-vector stores keep acc in registers
+  std::memcpy(out, acc, sizeof out);
+  for (std::size_t qi = 0; qi < kGemmTile; ++qi) {
+    for (std::size_t ji = 0; ji < kGemmTile; ++ji) {
+      c[qi * cols + ji] = out[ji][qi];
+    }
+  }
+}
+
+/// A remainder tile of qn x jn (each <= kGemmTile), runtime bounds.
+void gemm_edge_tile(const double* op, const double* offset, const double* xt, std::size_t rows,
+                    std::size_t cols, std::size_t qn, std::size_t jn, double* c) {
+  double acc[kGemmTile][kGemmTile];
+  for (std::size_t qi = 0; qi < qn; ++qi) {
+    for (std::size_t ji = 0; ji < jn; ++ji) {
+      acc[qi][ji] = offset != nullptr ? offset[ji] : 0.0;
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    double a_jr[kGemmTile];
+    for (std::size_t ji = 0; ji < jn; ++ji) {
+      a_jr[ji] = op[ji * rows + r];
+    }
+    for (std::size_t qi = 0; qi < qn; ++qi) {
+      const double x_qr = xt[r * kGemmPanel + qi];
+      for (std::size_t ji = 0; ji < jn; ++ji) {
+        acc[qi][ji] += a_jr[ji] * x_qr;
+      }
+    }
+  }
+  for (std::size_t qi = 0; qi < qn; ++qi) {
+    for (std::size_t ji = 0; ji < jn; ++ji) {
+      c[qi * cols + ji] = acc[qi][ji];
+    }
+  }
+}
+
 }  // namespace
 
 void gemm_operator_batch(const double* op, const double* offset, const double* x,
@@ -180,34 +256,30 @@ void gemm_operator_batch(const double* op, const double* offset, const double* x
   if (batch == 0 || cols == 0) {
     return;
   }
-  for (std::size_t q0 = 0; q0 < batch; q0 += kGemmTile) {
-    const std::size_t qn = std::min(kGemmTile, batch - q0);
-    for (std::size_t j0 = 0; j0 < cols; j0 += kGemmTile) {
-      const std::size_t jn = std::min(kGemmTile, cols - j0);
-      double acc[kGemmTile][kGemmTile];
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        for (std::size_t ji = 0; ji < jn; ++ji) {
-          acc[qi][ji] = offset != nullptr ? offset[j0 + ji] : 0.0;
-        }
-      }
-      // The k-loop (over r) stays outermost within the tile and strictly
-      // sequential: every accumulator sees offset, then r = 0, 1, ... in
-      // order — the exact addition sequence of the scalar matvec.
+  // Inputs are transposed panel by panel into r-major thread-local
+  // scratch, so a tile reads its kGemmTile queries' operands for one r
+  // contiguously.
+  thread_local std::vector<double> xt;
+  xt.resize(rows * kGemmPanel);
+  for (std::size_t p0 = 0; p0 < batch; p0 += kGemmPanel) {
+    const std::size_t pn = std::min(kGemmPanel, batch - p0);
+    for (std::size_t qi = 0; qi < pn; ++qi) {
+      const double* x_q = x + (p0 + qi) * rows;
       for (std::size_t r = 0; r < rows; ++r) {
-        double a_jr[kGemmTile];
-        for (std::size_t ji = 0; ji < jn; ++ji) {
-          a_jr[ji] = op[(j0 + ji) * rows + r];
-        }
-        for (std::size_t qi = 0; qi < qn; ++qi) {
-          const double x_qr = x[(q0 + qi) * rows + r];
-          for (std::size_t ji = 0; ji < jn; ++ji) {
-            acc[qi][ji] += a_jr[ji] * x_qr;
-          }
-        }
+        xt[r * kGemmPanel + qi] = x_q[r];
       }
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        for (std::size_t ji = 0; ji < jn; ++ji) {
-          c[(q0 + qi) * cols + (j0 + ji)] = acc[qi][ji];
+    }
+    for (std::size_t q0 = 0; q0 < pn; q0 += kGemmTile) {
+      const std::size_t qn = std::min(kGemmTile, pn - q0);
+      for (std::size_t j0 = 0; j0 < cols; j0 += kGemmTile) {
+        const std::size_t jn = std::min(kGemmTile, cols - j0);
+        const double* op_tile = op + j0 * rows;
+        const double* offset_tile = offset != nullptr ? offset + j0 : nullptr;
+        double* c_tile = c + (p0 + q0) * cols + j0;
+        if (qn == kGemmTile && jn == kGemmTile) {
+          gemm_full_tile(op_tile, offset_tile, xt.data() + q0, rows, cols, c_tile);
+        } else {
+          gemm_edge_tile(op_tile, offset_tile, xt.data() + q0, rows, cols, qn, jn, c_tile);
         }
       }
     }

@@ -8,7 +8,7 @@ SarRegister::SarRegister(unsigned bits) : bits_(bits) {
 
 void SarRegister::begin() {
   bit_index_ = static_cast<int>(bits_) - 1;
-  code_ = 1u << bit_index_;
+  code_ = sar_start_code(bits_);
   last_decided_bit_ = -1;
   last_decision_ = false;
 }
@@ -17,15 +17,9 @@ bool SarRegister::feed(bool input_above_dac) {
   require(converting(), "SarRegister::feed: no conversion in progress (call begin())");
   last_decided_bit_ = bit_index_;
   last_decision_ = input_above_dac;
-  if (!input_above_dac) {
-    code_ &= ~(1u << bit_index_);  // clear the bit under test
-  }
+  code_ = sar_step(code_, static_cast<unsigned>(bit_index_), input_above_dac);
   --bit_index_;
-  if (bit_index_ >= 0) {
-    code_ |= 1u << bit_index_;  // set the next lower bit for testing
-    return true;
-  }
-  return false;
+  return bit_index_ >= 0;
 }
 
 }  // namespace spinsim

@@ -14,6 +14,19 @@
 
 namespace spinsim {
 
+/// Code a conversion of `bits` bits starts from: mid-scale, MSB set.
+constexpr std::uint32_t sar_start_code(unsigned bits) { return 1u << (bits - 1u); }
+
+/// One SAR step on a raw code: `bit` is the bit under test (MSB =
+/// bits-1). A false verdict clears it; then the next lower bit, if any,
+/// is set for testing. SarRegister::feed() and the packed WTA bank both
+/// step through here, so the two cannot disagree.
+/// Branch-free: the WTA bank calls it on data-dependent verdicts.
+constexpr std::uint32_t sar_step(std::uint32_t code, unsigned bit, bool input_above_dac) {
+  code &= ~(static_cast<std::uint32_t>(!input_above_dac) << bit);
+  return bit > 0 ? code | (1u << (bit - 1u)) : code;
+}
+
 /// One SAR instance.
 class SarRegister {
  public:

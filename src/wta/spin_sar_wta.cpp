@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -18,6 +20,58 @@ Rng query_stream(std::uint64_t seed, std::uint64_t query_index) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return Rng(z ^ (z >> 31));
+}
+
+/// 64-bit mask words needed for one bit per column.
+std::size_t mask_words(std::size_t columns) { return (columns + 63) / 64; }
+
+std::size_t popcount64(std::uint64_t m) {
+  return static_cast<std::size_t>(__builtin_popcountll(m));
+}
+
+/// Index of the lowest set bit; `m` must be nonzero.
+std::size_t lowest_bit64(std::uint64_t m) {
+  return static_cast<std::size_t>(__builtin_ctzll(m));
+}
+
+/// The smallest double `s` such that a reset DWN driven by `s` for one
+/// cycle (no thermal noise) ends in state 1; NaN if no current does.
+///
+/// The end state is `i > 0 && |i| > I_th && dt / switching_delay(|i|) >= 1`.
+/// Every step of that expression is a correctly rounded monotone
+/// operation, so it is monotone in `i`: false up to some positive double
+/// and true from there on. Positive doubles order like their bit
+/// patterns, so bisecting over the patterns of [+0, +inf] finds the
+/// switch point exactly in at most 63 device evaluations. Then, for every
+/// double i (NaN and the negatives included), the device ends in state 1
+/// iff `i >= s`: the comparison the noiseless search makes.
+double find_switch_threshold(const DwnParams& dwn, double cycle_time) {
+  DomainWallNeuron neuron(dwn);
+  const auto switches = [&](std::uint64_t pattern) {
+    double i_net = 0.0;
+    std::memcpy(&i_net, &pattern, sizeof i_net);
+    neuron.reset(false);
+    return neuron.apply_current(i_net, cycle_time, nullptr);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::uint64_t hi = 0;  // switches
+  std::memcpy(&hi, &inf, sizeof hi);
+  if (!switches(hi)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  std::uint64_t lo = 0;  // +0.0: never switches (the DWN threshold is positive)
+  SPINSIM_ASSERT(!switches(lo), "DWN switches at zero current");
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (switches(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  double threshold = 0.0;
+  std::memcpy(&threshold, &hi, sizeof threshold);
+  return threshold;
 }
 
 }  // namespace
@@ -54,6 +108,16 @@ SpinSarWta::SpinSarWta(const SpinWtaConfig& config)
     }
   }
 
+  const std::size_t codes = std::size_t{1} << config.bits;
+  dac_sink_.resize(config.columns * codes);
+  for (std::size_t j = 0; j < config.columns; ++j) {
+    for (std::size_t code = 0; code < codes; ++code) {
+      dac_sink_[j * codes + code] =
+          dacs_[j].output_current(static_cast<std::uint32_t>(code), /*g_load=*/0.0);
+    }
+  }
+  switch_threshold_ = find_switch_threshold(config.dwn, config.cycle_time);
+
   // The DWN carries no sampled mismatch, so one probe device yields the
   // two MTJ read resistances every column's neuron can present; the
   // per-column spread lives entirely in the latch offsets sampled above.
@@ -62,17 +126,22 @@ SpinSarWta::SpinSarWta(const SpinWtaConfig& config)
   const double r_one = probe.mtj_resistance();
   probe.reset(false);
   const double r_zero = probe.mtj_resistance();
-  latch_above_one_.reserve(config.columns);
-  latch_above_zero_.reserve(config.columns);
+  latch_verdicts_.reserve(config.columns);
   for (std::size_t j = 0; j < config.columns; ++j) {
-    latch_above_one_.push_back(latches_[j].decide(r_one, r_reference_) ? 1 : 0);
-    latch_above_zero_.push_back(latches_[j].decide(r_zero, r_reference_) ? 1 : 0);
+    const unsigned above_one = latches_[j].decide(r_one, r_reference_) ? 1u : 0u;
+    const unsigned above_zero = latches_[j].decide(r_zero, r_reference_) ? 1u : 0u;
+    latch_verdicts_.push_back(static_cast<unsigned char>(above_one << 1 | above_zero));
   }
 }
 
 const DtcsDac& SpinSarWta::dac(std::size_t column) const {
   require(column < dacs_.size(), "SpinSarWta::dac: column out of range");
   return dacs_[column];
+}
+
+const ReadLatch& SpinSarWta::latch(std::size_t column) const {
+  require(column < latches_.size(), "SpinSarWta::latch: column out of range");
+  return latches_[column];
 }
 
 SpinWtaOutcome SpinSarWta::run(const std::vector<double>& column_currents) {
@@ -89,119 +158,100 @@ SpinWtaOutcome SpinSarWta::run_query(const std::vector<double>& column_currents,
 SpinWtaOutcome SpinSarWta::run_query_span(const double* column_currents,
                                           std::uint64_t query_index) const {
   const std::size_t n = config_.columns;
+  const unsigned bits = config_.bits;
+  const std::size_t words = mask_words(n);
+  const std::size_t codes_per_column = std::size_t{1} << bits;
+
   SpinWtaOutcome out;
-  out.tracking.assign(n, true);  // TRs preset high (see header)
-  out.dom_codes.assign(n, 0);
-
-  // Mutable PE state is per-query; the SAR registers and bit latches are
-  // reused from thread-local scratch so the batch hot path pays no heap
-  // allocation per query (each worker thread owns its own copies).
-  thread_local std::vector<SarRegister> sars;
-  thread_local std::vector<unsigned char> bit_decision;
-  sars.assign(n, SarRegister(config_.bits));
-  for (auto& sar : sars) {
-    sar.begin();
+  // The SAR registers: each column's code, converted in place into its DOM.
+  out.dom_codes.assign(n, sar_start_code(bits));
+  // TRs and one cycle's bit decisions as masks across columns (bit j % 64
+  // of word j / 64). Thread-local scratch: the search allocates nothing.
+  thread_local std::vector<std::uint64_t> tracking;
+  thread_local std::vector<std::uint64_t> decided;
+  tracking.assign(words, ~std::uint64_t{0});  // TRs preset high (see header)
+  if (n % 64 != 0) {
+    tracking[words - 1] = (std::uint64_t{1} << (n % 64)) - 1;
   }
-  bit_decision.assign(n, 0);
+  decided.resize(words);
 
-  Rng thermal_rng = query_stream(config_.seed, query_index);
-  Rng* thermal = config_.thermal_noise ? &thermal_rng : nullptr;
+  // The M-cycle search. `dwn_switches(i_net)` is the analog step: the
+  // DWN is preset to 0 each cycle, and reads as a 1 if the net current
+  // (column minus SAR-DAC sink) switched it within the cycle.
+  const auto search = [&](auto&& dwn_switches) {
+    for (unsigned cycle = 0; cycle < bits; ++cycle) {
+      const unsigned bit = bits - 1 - cycle;  // bit under test
 
-  // Neuron objects are only needed when thermal flips are sampled: the
-  // noiseless step is replayed from the precomputed latch tables. The
-  // neurons carry no sampled mismatch (their spread enters through the
-  // latch offsets), so fresh copies are exact, and the SARs restart
-  // every conversion anyway.
-  std::vector<DomainWallNeuron> neurons;
-  if (thermal != nullptr) {
-    neurons.assign(n, DomainWallNeuron(config_.dwn));
-  }
-  const double i_threshold = config_.dwn.i_threshold;
-
-  for (unsigned cycle = 0; cycle < config_.bits; ++cycle) {
-    // --- analog compare + digitise step (all PEs in parallel) ---
-    if (thermal == nullptr) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double i_dac = dacs_[j].output_current(sars[j].code(), /*g_load=*/0.0);
-        const double i_net = column_currents[j] - i_dac;
-        // Replays reset(false) + apply_current(i_net, cycle_time): from
-        // state 0 the neuron ends at 1 iff the drive points toward 1,
-        // exceeds I_th, and completes the wall transit within the cycle.
-        bool state = false;
-        if (i_net > 0.0 && std::abs(i_net) > i_threshold) {
-          state = config_.cycle_time / config_.dwn.switching_delay(std::abs(i_net)) >= 1.0;
+      // --- analog compare + digitise step (all PEs in parallel) ---
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::size_t j0 = w * 64;
+        const std::size_t jn = std::min<std::size_t>(64, n - j0);
+        const double* sink = dac_sink_.data() + j0 * codes_per_column;
+        std::uint64_t word = 0;
+        for (std::size_t k = 0; k < jn; ++k, sink += codes_per_column) {
+          const std::size_t j = j0 + k;
+          std::uint32_t& code = out.dom_codes[j];
+          const double i_net = column_currents[j] - sink[code];
+          const unsigned state = dwn_switches(i_net) ? 1u : 0u;
+          // The latch senses the DWN MTJ against the reference junction.
+          const unsigned above = (latch_verdicts_[j] >> state) & 1u;
+          code = sar_step(code, bit, above != 0);
+          word |= static_cast<std::uint64_t>(above) << k;
         }
-        const bool above = (state ? latch_above_one_[j] : latch_above_zero_[j]) != 0;
-        ++out.latch_decisions;
-
-        bit_decision[j] = above ? 1 : 0;
-        sars[j].feed(above);
+        decided[w] = word;
       }
-    } else {
-      for (std::size_t j = 0; j < n; ++j) {
-        // The DWN is preset to 0 each cycle; the net current (column minus
-        // SAR-DAC sink) must exceed +I_th to write a 1.
-        neurons[j].reset(false);
-        const double i_dac = dacs_[j].output_current(sars[j].code(), /*g_load=*/0.0);
-        const double i_net = column_currents[j] - i_dac;
-        neurons[j].apply_current(i_net, config_.cycle_time, thermal);
 
-        // Latch senses the DWN MTJ against the reference junction.
-        const bool above = latches_[j].decide(neurons[j].mtj_resistance(), r_reference_);
-        ++out.latch_decisions;
-
-        bit_decision[j] = above ? 1 : 0;
-        sars[j].feed(above);
+      // --- digital winner tracking (Fig. 12) ---
+      // DL precharged; DR(j) = TR(j) & bit(j) can pull it low.
+      bool dl_discharged = false;
+      for (std::size_t w = 0; w < words; ++w) {
+        dl_discharged = dl_discharged || (tracking[w] & decided[w]) != 0;
       }
-    }
-
-    // --- digital winner tracking (Fig. 12) ---
-    // DL precharged; DR(j) = TR(j) & bit(j) can pull it low.
-    bool dl_discharged = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (out.tracking[j] && bit_decision[j]) {
-        dl_discharged = true;
-        break;
-      }
-    }
-    if (dl_discharged) {
-      ++out.dl_discharges;
-      for (std::size_t j = 0; j < n; ++j) {
-        const bool next = out.tracking[j] && bit_decision[j];
-        if (next != out.tracking[j]) {
-          ++out.tr_writes;
+      if (dl_discharged) {
+        ++out.dl_discharges;
+        for (std::size_t w = 0; w < words; ++w) {
+          out.tr_writes += popcount64(tracking[w] & ~decided[w]);
+          tracking[w] &= decided[w];
         }
-        out.tracking[j] = next;
       }
+      // If nobody pulled DL, every surviving column had a 0 in this bit:
+      // the TRs stay as they are.
     }
-    // If nobody pulled DL, every surviving column had a 0 in this bit:
-    // the TRs stay as they are.
-    ++out.cycles;
-  }
+  };
 
-  // Collect SAR results and the survivor.
+  if (!config_.thermal_noise) {
+    search([this](double i_net) { return i_net >= switch_threshold_; });
+  } else {
+    // Thermal flips are sampled from the query's own substream, column by
+    // column within each cycle. The neuron is reset before every use and
+    // carries no sampled mismatch, so one instance serves every column.
+    Rng thermal = query_stream(config_.seed, query_index);
+    DomainWallNeuron neuron(config_.dwn);
+    search([&](double i_net) {
+      neuron.reset(false);
+      return neuron.apply_current(i_net, config_.cycle_time, &thermal);
+    });
+  }
+  out.latch_decisions = n * bits;
+  out.cycles = bits;
+
+  // Collect the survivors: exactly the columns holding the maximum code.
+  // The TRs start high and are only narrowed when some survivor pulled
+  // DL, so at least one always remains.
+  out.tracking.assign(n, false);
   std::size_t survivor_count = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    out.dom_codes[j] = sars[j].result();
-    if (out.tracking[j]) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t m = tracking[w]; m != 0; m &= m - 1) {
+      const std::size_t j = w * 64 + lowest_bit64(m);
+      out.tracking[j] = true;
       if (survivor_count == 0) {
         out.winner = j;
       }
       ++survivor_count;
     }
   }
+  SPINSIM_ASSERT(survivor_count > 0, "winner tracking lost every column");
   out.unique = survivor_count == 1;
-  if (survivor_count == 0) {
-    // All-zero MSBs and no later discharge: fall back to the largest DOM.
-    std::uint32_t best = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (out.dom_codes[j] > best) {
-        best = out.dom_codes[j];
-        out.winner = j;
-      }
-    }
-    out.unique = false;
-  }
   out.winner_dom = out.dom_codes[out.winner];
   return out;
 }

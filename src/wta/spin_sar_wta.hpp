@@ -94,8 +94,9 @@ class SpinSarWta {
   /// Same winner search over a raw column-current slice
   /// (`column_currents[0 .. columns)`) — the zero-copy entry the GEMM'd
   /// batch path uses. Const and thread-safe; per-query mutable state is
-  /// reused from thread-local scratch, so the hot path pays no heap
-  /// allocation per query.
+  /// reused from thread-local scratch, so the only heap allocations are
+  /// the outcome's dom_codes and tracking vectors (tests/alloc counts
+  /// them).
   SpinWtaOutcome run_query_span(const double* column_currents, std::uint64_t query_index) const;
 
   /// Reserves `count` consecutive query slots of the noise stream and
@@ -121,6 +122,15 @@ class SpinSarWta {
   /// The per-column SAR DAC (exposed for calibration/ablation studies).
   const DtcsDac& dac(std::size_t column) const;
 
+  /// The per-column read latch (its offset is sampled at construction).
+  const ReadLatch& latch(std::size_t column) const;
+
+  /// Smallest net current that switches a reset DWN within one cycle:
+  /// for every double `i_net` (NaN included), a noiseless
+  /// `reset(false)` + `apply_current(i_net, cycle_time)` ends in state 1
+  /// iff `i_net >= switch_threshold()`. NaN when no current switches.
+  double switch_threshold() const { return switch_threshold_; }
+
  private:
   SpinWtaConfig config_;
   Rng rng_;  // construction-time mismatch sampling only
@@ -129,14 +139,18 @@ class SpinSarWta {
   double r_reference_;
   std::uint64_t query_counter_ = 0;
 
-  // Precomputed per-column latch verdicts for the two possible DWN read
-  // states. With thermal noise off, a cycle's analog step is a pure
-  // function of the net current (the neuron is reset each cycle and the
-  // MTJ has exactly two resistances), so the noiseless fast path replays
-  // decide() from these tables instead of constructing a neuron bank per
-  // query. 0/1 in unsigned char (vector<bool> is bit-packed and slower).
-  std::vector<unsigned char> latch_above_one_;
-  std::vector<unsigned char> latch_above_zero_;
+  // Tables fixed at construction. A cycle's analog step depends on the
+  // column only through the SAR-DAC sink and the latch offset, and on the
+  // neuron only through its end state (it is reset each cycle, and the
+  // MTJ has two resistances). So a column-cycle is a lookup and a
+  // subtraction, then one compare against switch_threshold_ without
+  // thermal noise:
+  //   dac_sink_[column * 2^bits + code] = dacs_[column].output_current(code, 0)
+  //   bit s of latch_verdicts_[column] = the latch's verdict on a DWN read
+  //   in state s.
+  std::vector<double> dac_sink_;
+  double switch_threshold_;
+  std::vector<unsigned char> latch_verdicts_;
 };
 
 }  // namespace spinsim

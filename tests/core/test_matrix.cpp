@@ -240,14 +240,18 @@ TEST_P(GemmOperatorBatch, BitIdenticalToNaiveReference) {
 }
 
 // Tile-remainder coverage: sizes straddling the 4-wide register tile in
-// every dimension (exact multiples, one under, one over, and tiny).
+// every dimension (exact multiples, one under, one over, and tiny), plus
+// the 64x160 engine-batch operator over many 16-query panels and over a
+// partial panel with a remainder tile.
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmOperatorBatch,
                          ::testing::Values(std::make_tuple(128, 40, 16),
                                            std::make_tuple(8, 8, 8),
                                            std::make_tuple(7, 5, 3),
                                            std::make_tuple(9, 4, 5),
                                            std::make_tuple(1, 1, 1),
-                                           std::make_tuple(16, 3, 17)));
+                                           std::make_tuple(16, 3, 17),
+                                           std::make_tuple(64, 160, 256),
+                                           std::make_tuple(64, 160, 5)));
 
 TEST(GemmOperatorBatchEdge, ZeroBatchAndZeroColsAreNoOps) {
   const double op[4] = {1.0, 2.0, 3.0, 4.0};

@@ -7,9 +7,12 @@ Usage:
 
 A service row regresses when its queries_per_sec falls more than
 `tolerance` (default 30 %) below the committed baseline row with the same
-(mode, threads, shards, batch) key. Faster is always fine — CI runners
-are beefier than the box that produced the baseline, and the gate only
-exists to catch throughput cliffs, not to pin exact numbers.
+(mode, threads, shards, batch) key. Faster is always fine: the gate only
+exists to catch throughput cliffs, not to pin exact numbers. The committed
+baseline holds per-row medians of three runs on a 4-core x86-64 VM (g++
+12.2, Release); single runs there spread up to 1.8x per row, which the
+tolerance has to absorb. Rows with threads or shards > 1 assume the runner
+has about 4 real cores.
 
 The candidate must also carry a `pipeline` per-stage breakdown section
 with at least one row whose stage times sum to its total (sanity that the
