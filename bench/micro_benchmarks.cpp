@@ -6,9 +6,11 @@
 /// `--json [path]` switches to a self-timed recognition comparison that
 /// writes queries/sec for the CG, factored and transfer-operator paths
 /// (plus batched amortized throughput) to BENCH_recognition.json, then
-/// appends service-level rows (full-recognition queries/sec through a
-/// single engine's recognize_batch vs a sharded RecognitionService, at
-/// several batch sizes and thread counts), tier rows (flat spin vs
+/// appends operator-build rows (cold prepare_parasitic() time and LDL^T
+/// factor size per crossbar shape, with the host record), service-level
+/// rows (full-recognition queries/sec through a single engine's
+/// recognize_batch vs a sharded RecognitionService, at several batch
+/// sizes and thread counts), tier rows (flat spin vs
 /// hierarchical vs tiered: accuracy, throughput, energy/query and the
 /// tiered escalation/reject rates on one face workload), leaf-cache
 /// rows (hit rate and reprogram-amortized energy/query vs pool size for
@@ -20,11 +22,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "amm/evaluation.hpp"
 #include "amm/fault_injection.hpp"
@@ -238,6 +242,46 @@ PathTiming time_path(CrossbarSolver solver, std::size_t rows, std::size_t cols,
   t.queries_per_sec = static_cast<double>(queries) / elapsed;
   t.ns_per_query = 1e9 * elapsed / static_cast<double>(queries);
   return t;
+}
+
+// --------------------------------------------------------------------------
+// Operator-build rows: one cold prepare_parasitic() — network assembly,
+// LDL^T factor and the blocked transfer-operator solve — per crossbar
+// shape, the set-up cost every program, reprogram or bias point pays.
+// --------------------------------------------------------------------------
+
+struct OperatorBuildRow {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+  std::size_t factor_nnz = 0;
+};
+
+OperatorBuildRow time_operator_build(std::size_t rows, std::size_t cols) {
+  constexpr std::size_t kRepeats = 5;
+  RcmConfig config;
+  config.rows = rows;
+  config.cols = cols;
+  RcmArray rcm(config, Rng(1));
+  rcm.program(random_columns(rows, cols, 2));
+  std::vector<double> ms;
+  for (std::size_t i = 0; i < kRepeats; ++i) {
+    rcm.invalidate_parasitic_cache();
+    const auto start = Clock::now();
+    rcm.prepare_parasitic();
+    ms.push_back(1e3 * seconds_since(start));
+  }
+  std::sort(ms.begin(), ms.end());
+  OperatorBuildRow row;
+  row.rows = rows;
+  row.cols = cols;
+  row.median_ms = ms[kRepeats / 2];
+  row.min_ms = ms.front();
+  row.max_ms = ms.back();
+  row.factor_nnz = rcm.parasitic_network().factor_nnz();
+  return row;
 }
 
 // --------------------------------------------------------------------------
@@ -897,6 +941,30 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
     std::fprintf(f, "  }");
   }
 
+  std::vector<OperatorBuildRow> build_rows;
+  if (want("operator_build")) {
+    std::printf("timing the transfer-operator build (cold prepare_parasitic)...\n");
+    build_rows = {time_operator_build(64, 160), time_operator_build(128, 40)};
+    std::fprintf(f, ",\n  \"operator_build\": {\n");
+    std::fprintf(f,
+                 "    \"host\": {\"nproc\": %u, \"compiler\": \"%s\", \"build_type\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(), SPINSIM_BENCH_COMPILER,
+                 SPINSIM_BENCH_BUILD_TYPE);
+    std::fprintf(f, "    \"workload\": {\"step\": \"cold prepare_parasitic\", \"repeats\": 5, "
+                    "\"unit\": \"ms\"},\n");
+    std::fprintf(f, "    \"rows\": [\n");
+    for (std::size_t i = 0; i < build_rows.size(); ++i) {
+      const OperatorBuildRow& row = build_rows[i];
+      std::fprintf(f,
+                   "      {\"rows\": %zu, \"cols\": %zu, \"median_ms\": %.1f, \"min_ms\": %.1f, "
+                   "\"max_ms\": %.1f, \"factor_nnz\": %zu}%s\n",
+                   row.rows, row.cols, row.median_ms, row.min_ms, row.max_ms, row.factor_nnz,
+                   i + 1 < build_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]\n");
+    std::fprintf(f, "  }");
+  }
+
   ServiceBenchResult service_bench;
   if (want("service")) {
     // Service-level rows: *full recognitions* (front end + WTA), not bare
@@ -1054,6 +1122,10 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
     std::printf("  batch amortized: %12.1f queries/s (%.1fx)\n", batch.queries_per_sec,
                 batch.queries_per_sec / cg.queries_per_sec);
   }
+  for (const OperatorBuildRow& row : build_rows) {
+    std::printf("  operator build %zux%zu: %8.1f ms median (%.1f-%.1f), nnz(L) %zu\n", row.rows,
+                row.cols, row.median_ms, row.min_ms, row.max_ms, row.factor_nnz);
+  }
   for (const ServiceRow& row : service_bench.rows) {
     std::printf("  service %-7s t=%zu b=%-3zu: %12.1f full recognitions/s\n", row.mode,
                 row.threads, row.batch, row.queries_per_sec);
@@ -1110,9 +1182,9 @@ int main(int argc, char** argv) {
       json_path =
           (i + 1 < argc && argv[i + 1][0] != '-') ? argv[i + 1] : "BENCH_recognition.json";
     } else if (std::strcmp(argv[i], "--section") == 0 && i + 1 < argc) {
-      // Run and emit only one JSON section (paths | service | tiers |
-      // leaf_cache | endurance | overload) — the fast mode CI's bench
-      // smoke job uses. `service` also emits the `pipeline` breakdown.
+      // Run and emit only one JSON section (paths | operator_build |
+      // service | tiers | leaf_cache | endurance | overload) — the fast
+      // mode CI's bench smoke job uses. `service` also emits the `pipeline` breakdown.
       section = argv[++i];
     }
   }

@@ -1,5 +1,8 @@
 #include "circuit/resistive_network.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/error.hpp"
 
 namespace spinsim {
@@ -193,23 +196,56 @@ const std::vector<double>& ResistiveNetwork::solve_factored() {
   return solution_;
 }
 
-std::vector<double> ResistiveNetwork::influence(RNode observe) {
-  require(observe < node_count(), "ResistiveNetwork::influence: unknown node");
+std::vector<double> ResistiveNetwork::influence(const std::vector<RNode>& observe,
+                                                const std::vector<RNode>& at) {
   factorize();
-  std::vector<double> out(node_count(), 0.0);
-  const std::ptrdiff_t ro = reduced_index_[observe];
-  if (ro < 0) {
-    return out;  // pinned node: voltage is insensitive to any injection
-  }
-  std::vector<double> e(reduced_a_.rows(), 0.0);
-  e[static_cast<std::size_t>(ro)] = 1.0;
-  std::vector<double> w;
-  ldlt_.solve_into(e, w);
-  // A is symmetric, so (A^-1 e_obs)[n] = dv(observe)/dI(n).
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    const std::ptrdiff_t ri = reduced_index_[i];
+  constexpr std::size_t kB = SparseLdlt::kBlock;
+  const std::size_t n_at = at.size();
+  std::vector<double> out(observe.size() * n_at, 0.0);
+
+  // Elimination positions of the free `at` nodes; the backward sweep
+  // stops at the earliest of them.
+  constexpr std::size_t kPinned = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> at_pos(n_at, kPinned);
+  std::size_t stop = reduced_a_.rows();
+  for (std::size_t a = 0; a < n_at; ++a) {
+    require(at[a] < node_count(), "ResistiveNetwork::influence: unknown node");
+    const std::ptrdiff_t ri = reduced_index_[at[a]];
     if (ri >= 0) {
-      out[i] = w[static_cast<std::size_t>(ri)];
+      at_pos[a] = ldlt_.position(static_cast<std::size_t>(ri));
+      stop = std::min(stop, at_pos[a]);
+    }
+  }
+
+  // Free observe nodes by elimination position: the forward sweep of a
+  // block starts at its first unit entry. A pinned observe node's voltage
+  // is insensitive to any injection, so its row stays zero.
+  std::vector<std::pair<std::size_t, std::size_t>> order;  // (position, o)
+  for (std::size_t o = 0; o < observe.size(); ++o) {
+    require(observe[o] < node_count(), "ResistiveNetwork::influence: unknown node");
+    const std::ptrdiff_t ri = reduced_index_[observe[o]];
+    if (ri >= 0) {
+      order.emplace_back(ldlt_.position(static_cast<std::size_t>(ri)), o);
+    }
+  }
+  std::sort(order.begin(), order.end());
+
+  std::vector<double> block(order.empty() ? 0 : reduced_a_.rows() * kB);
+  for (std::size_t b = 0; b < order.size(); b += kB) {
+    const std::size_t width = std::min(kB, order.size() - b);
+    std::fill(block.begin(), block.end(), 0.0);
+    for (std::size_t c = 0; c < width; ++c) {
+      block[order[b + c].first * kB + c] = 1.0;
+    }
+    ldlt_.solve_block(block.data(), order[b].first, stop);
+    // A is symmetric, so (A^-1 e_obs)[n] = dv(observe)/dI(n).
+    for (std::size_t c = 0; c < width; ++c) {
+      double* row = out.data() + order[b + c].second * n_at;
+      for (std::size_t a = 0; a < n_at; ++a) {
+        if (at_pos[a] != kPinned) {
+          row[a] = block[at_pos[a] * kB + c];
+        }
+      }
     }
   }
   return out;

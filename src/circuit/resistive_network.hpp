@@ -83,12 +83,16 @@ class ResistiveNetwork {
   /// Nonzeros in the cached LDL^T factor (0 before factorize()).
   std::size_t factor_nnz() const { return ldlt_.factor_nnz(); }
 
-  /// Reciprocity vector of node `observe`: w[n] = d v(observe) / d I(n)
-  /// for every free node n (zero at pinned nodes; the whole vector is
-  /// zero if `observe` itself is pinned). One factored solve; this is
+  /// Reciprocity slice of A^-1: out[o * at.size() + a] =
+  /// d v(observe[o]) / d I(at[a]), zero where either node is pinned.
+  /// One unit-vector solve per observe node, run SparseLdlt::kBlock at a
+  /// time through SparseLdlt::solve_block() (observe nodes sorted by
+  /// elimination position so each block starts as late as it can); every
+  /// entry is bitwise identical to set_injection(observe[o], 1.0) +
+  /// solve_factored() on the same network with every pin at 0 V. This is
   /// what lets a crossbar build its transfer operator with one solve per
   /// *output* instead of one per input.
-  std::vector<double> influence(RNode observe);
+  std::vector<double> influence(const std::vector<RNode>& observe, const std::vector<RNode>& at);
 
   /// Voltage of node n after solve().
   double voltage(RNode n) const;

@@ -1,6 +1,8 @@
 #include "core/cholesky.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "core/error.hpp"
@@ -66,6 +68,8 @@ std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& a) {
 void SparseLdlt::factorize(const CsrMatrix& a, const LdltOptions& options) {
   require(a.rows() == a.cols(), "SparseLdlt::factorize: matrix must be square");
   const std::size_t n = a.rows();
+  require(n <= std::numeric_limits<std::uint32_t>::max(),
+          "SparseLdlt::factorize: dimension exceeds 32-bit row indices");
   n_ = n;
   factorized_ = false;  // stays false if a non-SPD pivot aborts below
   if (n == 0) {
@@ -193,7 +197,7 @@ void SparseLdlt::factorize(const CsrMatrix& a, const LdltOptions& options) {
       }
       const double l_ki = yi / d_[i];
       d_[k] -= l_ki * yi;
-      l_row_idx_[l_next[i]] = k;
+      l_row_idx_[l_next[i]] = static_cast<std::uint32_t>(k);
       l_values_[l_next[i]] = l_ki;
       ++l_next[i];
     }
@@ -234,6 +238,56 @@ void SparseLdlt::solve_into(const std::vector<double>& b, std::vector<double>& x
   x.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) {
     x[perm_[k]] = work_[k];
+  }
+}
+
+void SparseLdlt::solve_block(double* x, std::size_t first, std::size_t stop) const {
+  require(factorized(), "SparseLdlt::solve_block: factorize() first");
+  require(first <= n_ && stop <= n_, "SparseLdlt::solve_block: position out of range");
+  constexpr std::size_t kB = kBlock;
+  // L z = Pb, with D w = z folded in: column j's updates use the
+  // unscaled z_j (read before scaling, as solve_into() does), and no
+  // later column writes position j, so scaling it here is the same
+  // division on the same value.
+  double z[kB];
+  for (std::size_t j = first; j < n_; ++j) {
+    double* xj = x + j * kB;
+    for (std::size_t c = 0; c < kB; ++c) {
+      z[c] = xj[c];
+    }
+    if (j >= stop) {
+      const double dj = d_[j];
+      for (std::size_t c = 0; c < kB; ++c) {
+        xj[c] /= dj;
+      }
+    }
+    for (std::size_t p = l_col_ptr_[j]; p < l_col_ptr_[j + 1]; ++p) {
+      const double l = l_values_[p];
+      double* xr = x + static_cast<std::size_t>(l_row_idx_[p]) * kB;
+      for (std::size_t c = 0; c < kB; ++c) {
+        xr[c] -= l * z[c];
+      }
+    }
+  }
+  // Positions in [stop, first) hold +0 after the forward sweep, and
+  // +0 / d = +0, so they need no scaling.
+
+  // L^T y = w, down to the earliest wanted position.
+  for (std::size_t j = n_; j-- > stop;) {
+    double* xj = x + j * kB;
+    for (std::size_t c = 0; c < kB; ++c) {
+      z[c] = xj[c];
+    }
+    for (std::size_t p = l_col_ptr_[j]; p < l_col_ptr_[j + 1]; ++p) {
+      const double l = l_values_[p];
+      const double* xr = x + static_cast<std::size_t>(l_row_idx_[p]) * kB;
+      for (std::size_t c = 0; c < kB; ++c) {
+        z[c] -= l * xr[c];
+      }
+    }
+    for (std::size_t c = 0; c < kB; ++c) {
+      xj[c] = z[c];
+    }
   }
 }
 

@@ -14,10 +14,20 @@
 /// natural node order of a rows x cols array already has bandwidth
 /// ~min(rows, cols); RCM makes the factor size robust to arbitrary
 /// grounded networks as well).
+///
+/// Besides the single-vector solve, solve_block() runs kBlock right-hand
+/// sides interleaved through one forward and one backward sweep, so L is
+/// streamed once per block instead of once per vector. That is how a
+/// crossbar builds its transfer operator (one unit right-hand side per
+/// output column): each block result is bitwise identical to solve_into()
+/// on the same vector, because every lane repeats solve_into()'s
+/// arithmetic in the same order, and the two places where the block sweep
+/// does less work skip only operations that cannot change a bit.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/sparse.hpp"
@@ -63,14 +73,36 @@ class SparseLdlt {
   /// Allocation-free variant; x is resized as needed.
   void solve_into(const std::vector<double>& b, std::vector<double>& x) const;
 
+  /// Right-hand sides per solve_block() call (unused lanes hold zeros).
+  static constexpr std::size_t kBlock = 16;
+
+  /// Elimination position of original index i (inverse of permutation()).
+  std::size_t position(std::size_t i) const { return inv_perm_[i]; }
+
+  /// Solves A x = b in place for kBlock right-hand sides interleaved in
+  /// permuted order: `x` (caller-owned, dimension() * kBlock values)
+  /// holds entry perm[k] of lane c at x[k * kBlock + c]. Each lane's
+  /// result is bitwise identical to solve_into() on that lane, given:
+  ///  * `first`: every entry at a position below `first` is +0 and no
+  ///    entry is -0 (unit vectors qualify). The forward sweep starts at
+  ///    `first`; the columns it skips would only subtract l * (+0) = +-0
+  ///    from +0 or a nonzero, which changes nothing (L is finite: every
+  ///    pivot passed the SPD check).
+  ///  * `stop`: only positions >= stop are wanted. D scaling and the
+  ///    backward sweep stop there (row j of L^T reads only positions
+  ///    after j); entries below `stop` are left unspecified on return.
+  void solve_block(double* x, std::size_t first, std::size_t stop) const;
+
  private:
   std::size_t n_ = 0;
   bool factorized_ = false;
   std::vector<std::size_t> perm_;      // new -> old
   std::vector<std::size_t> inv_perm_;  // old -> new
   // L in compressed-column form (strictly lower triangle), D diagonal.
+  // Row indices are 32-bit (factorize() checks n fits): half the index
+  // traffic of every sweep.
   std::vector<std::size_t> l_col_ptr_;
-  std::vector<std::size_t> l_row_idx_;
+  std::vector<std::uint32_t> l_row_idx_;
   std::vector<double> l_values_;
   std::vector<double> d_;
   mutable std::vector<double> work_;  // permuted rhs / solution scratch

@@ -331,8 +331,6 @@ void RcmArray::ensure_transfer(double v_bias) {
   if (transfer_built_) {
     return;
   }
-  const std::size_t rows = config_.rows;
-  const std::size_t cols = config_.cols;
   const double g_seg = 1.0 / config_.segment_resistance();
 
   // Baseline: column currents with no injections (exactly zero for a
@@ -343,15 +341,13 @@ void RcmArray::ensure_transfer(double v_bias) {
   transfer_offset_ = extract_column_currents(v_bias);
 
   // By reciprocity one factored solve per *output* column suffices:
-  // T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r). cols solves instead
-  // of rows solves, and cols <= rows for every paper configuration.
-  transfer_.assign(cols * rows, 0.0);
-  for (std::size_t j = 0; j < cols; ++j) {
-    const std::vector<double> w = net_->influence(col_last_nodes_[j]);
-    double* t_row = &transfer_[j * rows];
-    for (std::size_t r = 0; r < rows; ++r) {
-      t_row[r] = g_seg * w[row_input_nodes_[r]];
-    }
+  // T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r), run as blocked
+  // multi-RHS sweeps. That is cols solves instead of rows solves: fewer
+  // for the paper's 128x40 arrays, more for the 64x160 bench design,
+  // where solving per input instead would change the operator's rounding.
+  transfer_ = net_->influence(col_last_nodes_, row_input_nodes_);
+  for (double& t : transfer_) {
+    t = g_seg * t;
   }
   transfer_built_ = true;
 }
@@ -371,6 +367,16 @@ void RcmArray::prepare_parasitic(double v_bias) { ensure_transfer(v_bias); }
 
 bool RcmArray::transfer_ready(double v_bias) const {
   return net_ != nullptr && transfer_built_ && net_v_bias_ == v_bias;
+}
+
+const std::vector<double>& RcmArray::transfer_operator(double v_bias) const {
+  require(transfer_ready(v_bias), "RcmArray::transfer_operator: call prepare_parasitic() first");
+  return transfer_;
+}
+
+const ResistiveNetwork& RcmArray::parasitic_network() const {
+  require(net_ != nullptr, "RcmArray::parasitic_network: no network cached");
+  return *net_;
 }
 
 std::vector<double> RcmArray::column_currents_transfer(const std::vector<double>& input_currents,

@@ -177,6 +177,19 @@ class RcmArray {
   /// the cache since).
   bool transfer_ready(double v_bias = 0.0) const;
 
+  /// The cached transfer operator T behind column_currents_transfer():
+  /// cols x rows, T[j * rows + r] = dI(column j) / dI_in(row r). Requires
+  /// transfer_ready(v_bias).
+  const std::vector<double>& transfer_operator(double v_bias = 0.0) const;
+
+  /// The cached parasitic network of the last prepare_parasitic() or
+  /// kFactored/kCg evaluation. Node layout: the row-bar junction (i, j)
+  /// is node i * cols + j (row i's input is node i * cols), the column-bar
+  /// junction (i, j) is node (rows + i) * cols + j, then each column's
+  /// pinned termination, then the dummy bar. Throws InvalidArgument if no
+  /// network is cached.
+  const ResistiveNetwork& parasitic_network() const;
+
   /// Applies the cached transfer operator: out = I0 + T * in. Requires
   /// transfer_ready(v_bias); const and thread-safe.
   std::vector<double> column_currents_transfer(const std::vector<double>& input_currents,

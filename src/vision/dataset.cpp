@@ -1,6 +1,7 @@
 #include "vision/dataset.hpp"
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 
 namespace spinsim {
 
@@ -10,12 +11,19 @@ FaceDataset::FaceDataset(std::size_t individuals, std::size_t variants_per_indiv
   require(individuals > 0 && variants_per_individual > 0,
           "FaceDataset: need at least one individual and one variant");
   const FaceGenerator generator(config);
+  // Every image is allocated here, on the calling thread, so the workers
+  // below only write pixels: no per-thread malloc arenas, and each image
+  // depends on (individual, variant) alone, so the fill order is free.
   images_.reserve(individuals * variants_per_individual);
   for (std::size_t person = 0; person < individuals; ++person) {
     for (std::size_t variant = 0; variant < variants_per_individual; ++variant) {
-      images_.push_back({person, variant, generator.generate(person, variant)});
+      images_.push_back({person, variant, Image(config.image_height, config.image_width)});
     }
   }
+  parallel_for_strided(images_.size(), 0, [&](std::size_t k) {
+    LabelledImage& sample = images_[k];
+    generator.generate_into(sample.individual, sample.variant, sample.image);
+  });
 }
 
 const Image& FaceDataset::image(std::size_t individual, std::size_t variant) const {

@@ -21,7 +21,9 @@ struct LabelledImage {
 /// Materialised dataset: `individuals` x `variants_per_individual` images.
 class FaceDataset {
  public:
-  /// Generates the full dataset (paper: 40 x 10 = 400 images).
+  /// Generates the full dataset (paper: 40 x 10 = 400 images), filling
+  /// the images across hardware threads; bitwise equal to calling
+  /// FaceGenerator::generate() for each image in turn.
   FaceDataset(std::size_t individuals, std::size_t variants_per_individual,
               const FaceGeneratorConfig& config = {});
 

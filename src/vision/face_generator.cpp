@@ -73,6 +73,12 @@ FaceGenerator::FaceIdentity FaceGenerator::identity_for(std::size_t individual) 
 }
 
 Image FaceGenerator::generate(std::size_t individual, std::size_t variant) const {
+  Image img(config_.image_height, config_.image_width);
+  generate_into(individual, variant, img);
+  return img;
+}
+
+void FaceGenerator::generate_into(std::size_t individual, std::size_t variant, Image& img) const {
   const FaceIdentity id = identity_for(individual);
 
   // Variant stream: seeded by (dataset, individual, variant).
@@ -90,7 +96,9 @@ Image FaceGenerator::generate(std::size_t individual, std::size_t variant) const
 
   const std::size_t h = config_.image_height;
   const std::size_t w = config_.image_width;
-  Image img(h, w);
+  if (img.height() != h || img.width() != w) {
+    img = Image(h, w);
+  }
 
   for (std::size_t r = 0; r < h; ++r) {
     for (std::size_t c = 0; c < w; ++c) {
@@ -176,7 +184,6 @@ Image FaceGenerator::generate(std::size_t individual, std::size_t variant) const
     }
   }
   img.clamp();
-  return img;
 }
 
 }  // namespace spinsim

@@ -47,6 +47,12 @@ class FaceGenerator {
   /// same image.
   Image generate(std::size_t individual, std::size_t variant) const;
 
+  /// generate() into a caller-owned image: every pixel is overwritten, and
+  /// an image already sized image_height x image_width is reused without
+  /// allocating (otherwise it is resized first). Const and thread-safe,
+  /// so distinct images can be filled in parallel.
+  void generate_into(std::size_t individual, std::size_t variant, Image& img) const;
+
  private:
   /// Identity-defining parameters (drawn once per individual). The wide
   /// ranges and discrete attributes (beard, glasses, hair style) keep the

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "circuit/mna.hpp"
 #include "circuit/resistive_network.hpp"
 #include "core/random.hpp"
+#include "support/unit_injection.hpp"
 
 namespace spinsim {
 namespace {
@@ -262,7 +267,8 @@ TEST(ResistiveNetwork, InfluenceMatchesFiniteDifference) {
   ResistiveNetwork net = random_grounded_network(30, 77, &nodes);
   const RNode observe = nodes[7];
   const RNode poke = nodes[19];
-  const std::vector<double> w = net.influence(observe);
+  const std::vector<double> w = net.influence({observe}, {poke});
+  ASSERT_EQ(w.size(), 1u);
 
   net.solve_factored();
   const double v0 = net.voltage(observe);
@@ -270,7 +276,7 @@ TEST(ResistiveNetwork, InfluenceMatchesFiniteDifference) {
   net.inject_current(poke, delta);
   net.solve_factored();
   const double v1 = net.voltage(observe);
-  EXPECT_NEAR(w[poke], (v1 - v0) / delta, 1e-6 * std::abs(w[poke]) + 1e-15);
+  EXPECT_NEAR(w[0], (v1 - v0) / delta, 1e-6 * std::abs(w[0]) + 1e-15);
 }
 
 TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
@@ -279,9 +285,66 @@ TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
   const RNode gnd = net.add_node();
   net.fix_voltage(gnd, 0.0);
   net.add_conductance(n, gnd, 1e-3);
-  const std::vector<double> w = net.influence(gnd);
-  EXPECT_EQ(w[n], 0.0);
-  EXPECT_EQ(w[gnd], 0.0);
+  const std::vector<double> w = net.influence({gnd}, {n, gnd});
+  EXPECT_EQ(w[0], 0.0);  // at n
+  EXPECT_EQ(w[1], 0.0);  // at gnd
+}
+
+/// Property: the blocked influence() slice is bitwise equal to one unit
+/// injection + solve_factored() per observe node, whatever the observe
+/// count (partial last block, single node), order, or pinning.
+TEST(ResistiveNetworkBlockSolve, InfluenceBitwiseEqualsPerNodeSolves) {
+  using testing::bitwise_equal;
+  using testing::unit_injection_reference;
+  for (const std::size_t n : {5u, 40u, 120u, 400u}) {
+    std::vector<RNode> nodes;
+    ResistiveNetwork net = random_grounded_network(n, 4100 + n, &nodes);
+    const RNode gnd = n;  // random_grounded_network adds its ground last
+    ASSERT_TRUE(net.is_fixed(gnd));
+
+    // Every node, ground included, as an output.
+    std::vector<RNode> at = nodes;
+    at.push_back(gnd);
+
+    // A shuffled subset of 37 observe nodes (not a multiple of the block
+    // width, not in elimination order) plus the pinned ground.
+    Rng rng(n);
+    std::vector<RNode> shuffled = nodes;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(shuffled[i - 1], shuffled[k]);
+    }
+    std::vector<RNode> observe(shuffled.begin(),
+                               shuffled.begin() + static_cast<std::ptrdiff_t>(std::min<std::size_t>(37, n)));
+    const std::size_t pinned_row = observe.size() / 2;
+    observe.insert(observe.begin() + static_cast<std::ptrdiff_t>(pinned_row), gnd);
+
+    const std::vector<double> w = net.influence(observe, at);
+    EXPECT_TRUE(bitwise_equal(w, unit_injection_reference(net, observe, at))) << "n = " << n;
+
+    // The pinned observe node's row is all zero.
+    for (std::size_t a = 0; a < at.size(); ++a) {
+      EXPECT_EQ(w[pinned_row * at.size() + a], 0.0);
+    }
+
+    // A single observe node against a single output deep in the order.
+    const std::vector<RNode> one{shuffled[0]};
+    const std::vector<RNode> last{shuffled[n - 1]};
+    EXPECT_TRUE(bitwise_equal(net.influence(one, last),
+                              unit_injection_reference(net, one, last)))
+        << "n = " << n;
+
+    // Every node at once (several full blocks).
+    EXPECT_TRUE(bitwise_equal(net.influence(nodes, at), unit_injection_reference(net, nodes, at)))
+        << "n = " << n;
+  }
+}
+
+TEST(ResistiveNetworkBlockSolve, InfluenceRejectsUnknownNodes) {
+  std::vector<RNode> nodes;
+  ResistiveNetwork net = random_grounded_network(10, 5, &nodes);
+  EXPECT_THROW(net.influence({net.node_count()}, nodes), InvalidArgument);
+  EXPECT_THROW(net.influence(nodes, {net.node_count()}), InvalidArgument);
 }
 
 TEST(ResistiveNetwork, StructureChangeInvalidatesSolution) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/cg.hpp"
@@ -134,6 +136,64 @@ TEST(SparseLdlt, ThrowsOnIndefinite) {
 TEST(SparseLdlt, SolveBeforeFactorizeThrows) {
   SparseLdlt ldlt;
   EXPECT_THROW(ldlt.solve({1.0}), InvalidArgument);
+}
+
+/// Property: every lane of solve_block() is bitwise equal to solve_into()
+/// on that lane's vector at every wanted position, for partial and full
+/// blocks and for each (first, stop) ordering.
+TEST(SparseLdltBlockSolve, LanesBitwiseEqualSolveInto) {
+  constexpr std::size_t kB = SparseLdlt::kBlock;
+  for (const std::size_t n : {17u, 60u, 200u}) {
+    SparseLdlt ldlt;
+    ldlt.factorize(random_spd(n, 3000 + n));
+    const std::vector<std::size_t>& perm = ldlt.permutation();
+    Rng rng(n);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{7}, kB}) {
+      for (const auto& [first, stop] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                        {n / 3, n / 2},
+                                        {n / 2, n / 5},
+                                        {n - 1, n - 1}}) {
+        // Lane c is zero below first + c % 3 and sparse-random above it.
+        std::vector<double> block(n * kB, 0.0);
+        std::vector<std::vector<double>> rhs(width, std::vector<double>(n, 0.0));
+        for (std::size_t c = 0; c < width; ++c) {
+          for (std::size_t k = std::min(n - 1, first + c % 3); k < n; ++k) {
+            if (k == first || rng.bernoulli(0.3)) {
+              const double v = rng.uniform(-1.0, 1.0);
+              rhs[c][perm[k]] = v;
+              block[k * kB + c] = v;
+            }
+          }
+        }
+        ldlt.solve_block(block.data(), first, stop);
+        for (std::size_t c = 0; c < width; ++c) {
+          const std::vector<double> x = ldlt.solve(rhs[c]);
+          for (std::size_t k = stop; k < n; ++k) {
+            ASSERT_EQ(std::memcmp(&block[k * kB + c], &x[perm[k]], sizeof(double)), 0)
+                << "n = " << n << ", width = " << width << ", first = " << first
+                << ", stop = " << stop << ", lane " << c << ", position " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseLdltBlockSolve, PositionInvertsPermutation) {
+  SparseLdlt ldlt;
+  ldlt.factorize(random_spd(40, 7));
+  for (std::size_t k = 0; k < 40; ++k) {
+    EXPECT_EQ(ldlt.position(ldlt.permutation()[k]), k);
+  }
+}
+
+TEST(SparseLdltBlockSolve, RejectsBadCalls) {
+  std::vector<double> block(4 * SparseLdlt::kBlock, 0.0);
+  SparseLdlt ldlt;
+  EXPECT_THROW(ldlt.solve_block(block.data(), 0, 0), InvalidArgument);
+  ldlt.factorize(random_spd(4, 3));
+  EXPECT_THROW(ldlt.solve_block(block.data(), 5, 0), InvalidArgument);
+  EXPECT_THROW(ldlt.solve_block(block.data(), 0, 5), InvalidArgument);
 }
 
 TEST(ReverseCuthillMckee, IsAPermutation) {

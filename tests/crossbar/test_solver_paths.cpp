@@ -7,6 +7,7 @@
 #include "core/random.hpp"
 #include "crossbar/rcm.hpp"
 #include "support/random_weights.hpp"
+#include "support/unit_injection.hpp"
 
 namespace spinsim {
 namespace {
@@ -164,6 +165,69 @@ TEST(CrossbarSolverPaths, TransferBeforePrepareThrows) {
   EXPECT_THROW(rcm.column_currents_transfer(inputs), InvalidArgument);
   rcm.prepare_parasitic();
   EXPECT_NO_THROW(rcm.column_currents_transfer(inputs));
+}
+
+/// Property: the blocked transfer-operator build is bitwise equal to one
+/// unit injection + factored solve per output column (the per-column
+/// build it replaced), at zero and nonzero bias, with and without the
+/// dummy column.
+TEST(CrossbarTransferBlockSolve, OperatorBitwiseEqualsPerColumnSolves) {
+  struct Shape {
+    std::size_t rows;
+    std::size_t cols;
+  };
+  for (const Shape shape : {Shape{64, 160}, Shape{128, 40}, Shape{20, 64}}) {
+    for (const bool dummy : {true, false}) {
+      RcmConfig config;
+      config.rows = shape.rows;
+      config.cols = shape.cols;
+      config.dummy_column = dummy;
+      const std::uint64_t seed = 53 + shape.rows + shape.cols;
+      RcmArray rcm(config, Rng(seed));
+      rcm.program(random_columns(config.rows, config.cols, seed + 1));
+
+      // Reference on the 0 V network: T[j][r] = g_seg * v(row input r)
+      // with 1 A injected at column j's last junction.
+      rcm.prepare_parasitic(0.0);
+      std::vector<RNode> outputs;
+      std::vector<RNode> inputs;
+      for (std::size_t j = 0; j < config.cols; ++j) {
+        outputs.push_back((2 * config.rows - 1) * config.cols + j);
+      }
+      for (std::size_t r = 0; r < config.rows; ++r) {
+        inputs.push_back(r * config.cols);
+      }
+      std::vector<double> reference =
+          testing::unit_injection_reference(rcm.parasitic_network(), outputs, inputs);
+      const double g_seg = 1.0 / config.segment_resistance();
+      for (double& t : reference) {
+        t = g_seg * t;
+      }
+
+      // The operator ignores the pins' voltage, so a biased build must
+      // reproduce the same bits.
+      for (const double v_bias : {0.0, 30e-3}) {
+        rcm.prepare_parasitic(v_bias);
+        EXPECT_TRUE(testing::bitwise_equal(rcm.transfer_operator(v_bias), reference))
+            << shape.rows << "x" << shape.cols << (dummy ? " dummy" : " no dummy") << ", v_bias "
+            << v_bias;
+      }
+    }
+  }
+}
+
+TEST(CrossbarTransferBlockSolve, AccessorsRequireACache) {
+  RcmConfig config;
+  config.rows = 8;
+  config.cols = 4;
+  RcmArray rcm(config, Rng(59));
+  rcm.program(random_columns(config.rows, config.cols, 60));
+  EXPECT_THROW(rcm.transfer_operator(), InvalidArgument);
+  EXPECT_THROW(rcm.parasitic_network(), InvalidArgument);
+  rcm.prepare_parasitic();
+  EXPECT_EQ(rcm.transfer_operator().size(), config.rows * config.cols);
+  EXPECT_EQ(rcm.parasitic_network().node_count(), 2 * config.rows * config.cols + config.cols + 1);
+  EXPECT_THROW(rcm.transfer_operator(10e-3), InvalidArgument);
 }
 
 TEST(CrossbarSolverPaths, EqualizeRowsStillUniform) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "support/shared_dataset.hpp"
 
 namespace spinsim {
@@ -44,6 +46,42 @@ TEST(FaceGenerator, SeedChangesDataset) {
   const Image a = FaceGenerator(c1).generate(0, 0);
   const Image b = FaceGenerator(c2).generate(0, 0);
   EXPECT_GT(a.rms_difference(b), 0.01);
+}
+
+TEST(FaceGenerator, GenerateIntoMatchesGenerate) {
+  FaceGeneratorConfig config;
+  config.image_height = 32;
+  config.image_width = 24;
+  const FaceGenerator gen(config);
+  // A wrongly sized image is resized; a rightly sized one keeps its buffer.
+  Image img(8, 8);
+  gen.generate_into(2, 3, img);
+  EXPECT_EQ(img.pixels(), gen.generate(2, 3).pixels());
+  const double* buffer = img.pixels().data();
+  gen.generate_into(5, 1, img);
+  EXPECT_EQ(img.pixels().data(), buffer);
+  EXPECT_EQ(img.pixels(), gen.generate(5, 1).pixels());
+}
+
+/// The parallel fill is bitwise equal to serial generate(), image by
+/// image, on datasets big enough to fan out across workers.
+TEST(FaceDataset, ParallelFillBitwiseEqualsSerialGenerate) {
+  FaceGeneratorConfig small;
+  small.image_height = 64;
+  small.image_width = 64;
+  const FaceDataset built(20, 4, small);
+  const FaceDataset& paper = testing::paper_dataset();
+  for (const FaceDataset* ds : {&built, &paper}) {
+    const FaceGenerator gen(ds == &paper ? FaceGeneratorConfig{} : small);
+    for (const LabelledImage& sample : ds->all()) {
+      const Image ref = gen.generate(sample.individual, sample.variant);
+      ASSERT_EQ(sample.image.pixel_count(), ref.pixel_count());
+      EXPECT_EQ(std::memcmp(sample.image.pixels().data(), ref.pixels().data(),
+                            ref.pixel_count() * sizeof(double)),
+                0)
+          << "individual " << sample.individual << ", variant " << sample.variant;
+    }
+  }
 }
 
 TEST(FaceDataset, PaperShape) {
