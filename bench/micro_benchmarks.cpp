@@ -1,10 +1,10 @@
 /// Library microbenchmarks (google-benchmark): throughput of the hot
 /// paths behind the experiment harnesses — crossbar evaluation (ideal and
-/// parasitic, across all three parasitic solvers), the LLG integrator,
+/// parasitic, on both parasitic solvers), the LLG integrator,
 /// SAR conversion, and a full end-to-end recognition.
 ///
 /// `--json [path]` switches to a self-timed recognition comparison that
-/// writes queries/sec for the CG, factored and transfer-operator paths
+/// writes queries/sec for the CG and transfer-operator paths
 /// (plus batched amortized throughput) to BENCH_recognition.json, then
 /// appends operator-build rows (cold prepare_parasitic() time and LDL^T
 /// factor size per crossbar shape, with the host record), service-level
@@ -89,10 +89,8 @@ void BM_CrossbarParasitic(benchmark::State& state, CrossbarSolver solver, std::s
   }
 }
 BENCHMARK_CAPTURE(BM_CrossbarParasitic, Cg128x40, CrossbarSolver::kCg, 128, 40);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Factored128x40, CrossbarSolver::kFactored, 128, 40);
 BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer128x40, CrossbarSolver::kTransfer, 128, 40);
 BENCHMARK_CAPTURE(BM_CrossbarParasitic, Cg64x20, CrossbarSolver::kCg, 64, 20);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Factored64x20, CrossbarSolver::kFactored, 64, 20);
 BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer64x20, CrossbarSolver::kTransfer, 64, 20);
 
 void BM_LlgStep(benchmark::State& state) {
@@ -247,7 +245,7 @@ PathTiming time_path(CrossbarSolver solver, std::size_t rows, std::size_t cols,
 // --------------------------------------------------------------------------
 // Operator-build rows: one cold prepare_parasitic() — network assembly,
 // LDL^T factor and the blocked transfer-operator solve — per crossbar
-// shape, the set-up cost every program, reprogram or bias point pays.
+// shape, the set-up cost every program or reprogram pays.
 // --------------------------------------------------------------------------
 
 struct OperatorBuildRow {
@@ -912,14 +910,12 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
   std::fprintf(f, "  \"crossbar\": {\"rows\": %zu, \"cols\": %zu}", rows, cols);
 
   PathTiming cg;
-  PathTiming factored;
   PathTiming transfer;
   PathTiming batch;
   if (want("paths")) {
     // The seed path: CG per query, cold cache counted against it only
     // once (warm-started across queries, as in the seed).
     cg = time_path(CrossbarSolver::kCg, rows, cols, 200, false);
-    factored = time_path(CrossbarSolver::kFactored, rows, cols, 2000, false);
     transfer = time_path(CrossbarSolver::kTransfer, rows, cols, 20000, false);
     // Amortized: one cold start (factorization + operator build) spread
     // over a batch of queries, the steady-traffic figure of merit.
@@ -930,12 +926,10 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
                    t.queries_per_sec, t.ns_per_query, sep);
     };
     emit("cg", cg, ",");
-    emit("factored", factored, ",");
     emit("transfer", transfer, ",");
     emit("batch_amortized", batch, "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"speedup_vs_cg\": {\n");
-    std::fprintf(f, "    \"factored\": %.2f,\n", factored.queries_per_sec / cg.queries_per_sec);
     std::fprintf(f, "    \"transfer\": %.2f,\n", transfer.queries_per_sec / cg.queries_per_sec);
     std::fprintf(f, "    \"batch_amortized\": %.2f\n", batch.queries_per_sec / cg.queries_per_sec);
     std::fprintf(f, "  }");
@@ -1115,8 +1109,6 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
   std::printf("wrote %s\n", path.c_str());
   if (want("paths")) {
     std::printf("  cg:              %12.1f queries/s\n", cg.queries_per_sec);
-    std::printf("  factored:        %12.1f queries/s (%.1fx)\n", factored.queries_per_sec,
-                factored.queries_per_sec / cg.queries_per_sec);
     std::printf("  transfer:        %12.1f queries/s (%.1fx)\n", transfer.queries_per_sec,
                 transfer.queries_per_sec / cg.queries_per_sec);
     std::printf("  batch amortized: %12.1f queries/s (%.1fx)\n", batch.queries_per_sec,

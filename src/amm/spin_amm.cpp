@@ -35,22 +35,7 @@ SpinAmm::SpinAmm(const SpinAmmConfig& config) : config_(config), rng_(config.see
   rcm_config.row_target_conductance = config.row_target_conductance;
   rcm_ = std::make_unique<RcmArray>(rcm_config, rng_.fork());
   rcm_->set_parasitic_solver(config.parasitic_solver);
-
-  DtcsDacDesign dac_design;
-  dac_design.bits = config.features.bits;
-  dac_design.full_scale_current = config.input_full_scale_current();
-  dac_design.delta_v = config.delta_v;
-  input_full_scale_ = dac_design.full_scale_current;
-
-  Rng dac_rng = rng_.fork();
-  input_dacs_.reserve(rcm_config.rows);
-  for (std::size_t row = 0; row < rcm_config.rows; ++row) {
-    if (config.sample_mismatch) {
-      input_dacs_.emplace_back(dac_design, dac_rng);
-    } else {
-      input_dacs_.emplace_back(dac_design);
-    }
-  }
+  rebuild_input_dacs(config.input_full_scale_current());
 
   SpinWtaConfig wta_config;
   wta_config.columns = config.templates;
@@ -94,6 +79,7 @@ void SpinAmm::rebuild_input_dacs(double full_scale) {
   input_full_scale_ = full_scale;
   Rng dac_rng = rng_.fork();
   input_dacs_.clear();
+  input_dacs_.reserve(config_.features.dimension());
   for (std::size_t row = 0; row < config_.features.dimension(); ++row) {
     if (config_.sample_mismatch) {
       input_dacs_.emplace_back(dac_design, dac_rng);
@@ -142,7 +128,7 @@ std::vector<double> SpinAmm::column_currents(const FeatureVector& input) {
   if (config_.model == CrossbarModel::kIdeal) {
     return rcm_->column_currents_ideal(input_currents);
   }
-  return rcm_->column_currents_parasitic(input_currents, /*v_bias=*/0.0);
+  return rcm_->column_currents_parasitic(input_currents);
 }
 
 Recognition SpinAmm::assemble(std::vector<double>&& currents, SpinWtaOutcome&& wta) const {
@@ -204,12 +190,12 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
 
   // The front end is shareable when evaluating a query never mutates the
   // crossbar: the ideal closed form is const once its operator is built,
-  // and the transfer operator is const once prepared. CG/factored solves
-  // mutate solver state, so those paths run every chunk on this thread.
+  // and the transfer operator is const once prepared. The CG reference
+  // mutates solver state, so that path runs every chunk on this thread.
   const bool parasitic = config_.model == CrossbarModel::kParasitic;
   bool shareable = !parasitic;
   if (parasitic && config_.parasitic_solver == CrossbarSolver::kTransfer) {
-    rcm_->prepare_parasitic(/*v_bias=*/0.0);
+    rcm_->prepare_parasitic();
     shareable = true;
   }
   if (!parasitic) {
@@ -257,8 +243,7 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
 
       // Stage 2 — one blocked GEMM against the cached crossbar operator.
       if (parasitic) {
-        rcm_->column_currents_transfer_batch(input_scratch.data(), qn, chunk_currents,
-                                             /*v_bias=*/0.0);
+        rcm_->column_currents_transfer_batch(input_scratch.data(), qn, chunk_currents);
       } else {
         rcm_->column_currents_ideal_batch(input_scratch.data(), qn, chunk_currents);
       }
@@ -266,7 +251,7 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
       chunk_timing[c].dac_us = elapsed_us(t0, t1);
       chunk_timing[c].gemm_us = elapsed_us(t1, t2);
     } else {
-      // CG/factored solve per query (counted as the DAC stage — there is
+      // CG solve per query (counted as the DAC stage — there is
       // no separate GEMM on this path).
       const auto t0 = clock->now();
       for (std::size_t qi = 0; qi < qn; ++qi) {

@@ -46,8 +46,9 @@ struct SpinAmmConfig {
   double delta_v = 30e-3;        ///< crossbar bias dV [V]
   double clock = 100e6;          ///< conversion clock [Hz]
   CrossbarModel model = CrossbarModel::kIdeal;
-  /// Algorithm behind kParasitic (kTransfer amortizes one factorization
-  /// across all queries; kCg is the iterative reference path).
+  /// Algorithm behind kParasitic: kTransfer builds the transfer operator
+  /// once from the LDL^T factor and applies it as one GEMM per batch;
+  /// kCg is the iterative reference path, one solve per query.
   CrossbarSolver parasitic_solver = CrossbarSolver::kTransfer;
   bool thermal_noise = false;
   bool sample_mismatch = true;
@@ -119,7 +120,7 @@ class SpinAmm : public AssociativeEngine {
   /// operator, and the WTA stage is thread-safe because its thermal noise
   /// comes from counter-based per-query streams
   /// (SpinSarWta::run_query_span) rather than one shared sequential draw
-  /// order. CG/factored solves mutate the network, so those run on the
+  /// order. CG solves mutate the network, so that path runs on the
   /// calling thread. threads == 0 picks hardware concurrency;
   /// last_batch_timing() reports the per-stage wall clock.
   /// In steady state the only heap allocations per query are the

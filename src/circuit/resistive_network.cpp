@@ -75,7 +75,7 @@ void ResistiveNetwork::build_system() {
     }
   }
   require(n_unknown < n || n == 0,
-          "ResistiveNetwork::solve: at least one node must be pinned (no ground reference)");
+          "ResistiveNetwork: at least one node must be pinned (no ground reference)");
 
   CooBuilder builder(n_unknown, n_unknown);
   dirichlet_rhs_.assign(n_unknown, 0.0);
@@ -145,13 +145,6 @@ void ResistiveNetwork::scatter_solution(const std::vector<double>& reduced) {
   solved_ = true;
 }
 
-const std::vector<double>& ResistiveNetwork::solve(const CgOptions& options) {
-  if (strategy_ == SolverStrategy::kFactored) {
-    return solve_factored();
-  }
-  return solve_cg(options);
-}
-
 const std::vector<double>& ResistiveNetwork::solve_cg(const CgOptions& options) {
   if (structure_dirty_) {
     build_system();
@@ -161,7 +154,7 @@ const std::vector<double>& ResistiveNetwork::solve_cg(const CgOptions& options) 
   CgResult result =
       conjugate_gradient(reduced_a_, rhs, options, warm_start_.empty() ? nullptr : &warm_start_);
   if (!result.converged) {
-    throw NumericalError("ResistiveNetwork::solve: CG failed to converge (residual " +
+    throw NumericalError("ResistiveNetwork: CG failed to converge (residual " +
                          std::to_string(result.residual) + ")");
   }
   warm_start_ = result.x;
@@ -252,20 +245,20 @@ std::vector<double> ResistiveNetwork::influence(const std::vector<RNode>& observ
 }
 
 double ResistiveNetwork::voltage(RNode n) const {
-  require(solved_, "ResistiveNetwork::voltage: call solve() first");
+  require(solved_, "ResistiveNetwork::voltage: solve first");
   require(n < node_count(), "ResistiveNetwork::voltage: unknown node");
   return solution_[n];
 }
 
 double ResistiveNetwork::element_current(std::size_t index) const {
-  require(solved_, "ResistiveNetwork::element_current: call solve() first");
+  require(solved_, "ResistiveNetwork::element_current: solve first");
   require(index < elements_.size(), "ResistiveNetwork::element_current: unknown element");
   const auto& e = elements_[index];
   return (solution_[e.a] - solution_[e.b]) * e.g;
 }
 
 double ResistiveNetwork::pin_current(RNode n) const {
-  require(solved_, "ResistiveNetwork::pin_current: call solve() first");
+  require(solved_, "ResistiveNetwork::pin_current: solve first");
   require(n < node_count(), "ResistiveNetwork::pin_current: unknown node");
   require(fixed_voltage_[n].has_value(), "ResistiveNetwork::pin_current: node is not pinned");
   // Sum of currents leaving the pinned node through its incident

@@ -4,9 +4,14 @@
 /// Compared to the general MNA, ideal voltage sources are handled as
 /// *Dirichlet nodes*: their voltage is known, so they are eliminated from
 /// the unknown set. What remains is a symmetric positive-definite
-/// conductance system solved by Jacobi-preconditioned CG. The 128x40
-/// crossbar (10k+ unknowns) solves in milliseconds, and consecutive solves
-/// of the same topology warm-start from the previous operating point.
+/// conductance system with two solvers:
+///  * solve_cg(): Jacobi-preconditioned CG, the iterative reference.
+///    Consecutive solves of the same topology warm-start from the previous
+///    operating point.
+///  * solve_factored() / influence(): a sparse LDL^T factor (RCM
+///    ordering), computed once per topology; each solve is then two
+///    triangular sweeps. The crossbar's transfer operator is built from
+///    this factor.
 
 #pragma once
 
@@ -23,12 +28,6 @@ namespace spinsim {
 /// A node in a ResistiveNetwork (dense index space, no ground node; use a
 /// fixed node at 0 V instead).
 using RNode = std::size_t;
-
-/// How solve() computes node voltages.
-enum class SolverStrategy {
-  kCg,        ///< Jacobi-preconditioned CG (reference iterative path)
-  kFactored,  ///< sparse LDL^T factored once, two triangular solves per call
-};
 
 /// Large resistive network with known-voltage (Dirichlet) nodes.
 class ResistiveNetwork {
@@ -59,21 +58,14 @@ class ResistiveNetwork {
   /// Clears all current injections (conductances and pins stay).
   void clear_injections();
 
-  /// Selects the algorithm solve() dispatches to. Switching strategy
-  /// never changes the answer beyond solver tolerance; kFactored pays a
-  /// one-time factorization, then each solve is two triangular solves.
-  void set_solver(SolverStrategy strategy) { strategy_ = strategy; }
-  SolverStrategy solver() const { return strategy_; }
-
-  /// Solves for all node voltages using the selected strategy. Results
-  /// are cached; re-solving after only injection changes reuses the
-  /// factorised structure (and, for CG, the last solution as warm start).
-  const std::vector<double>& solve(const CgOptions& options = {});
-
-  /// Forces the CG path regardless of the selected strategy.
+  /// Solves for all node voltages by CG, warm-started from the previous
+  /// solution. Re-solving after only injection changes reuses the
+  /// assembled system.
   const std::vector<double>& solve_cg(const CgOptions& options = {});
 
-  /// Forces the direct path: factorizes lazily, then back-substitutes.
+  /// Solves for all node voltages by the LDL^T factor: factorizes lazily
+  /// (once per topology), then back-substitutes. Agrees with solve_cg()
+  /// to CG tolerance.
   const std::vector<double>& solve_factored();
 
   /// Eagerly computes the LDL^T factor of the reduced system (no-op if
@@ -94,15 +86,15 @@ class ResistiveNetwork {
   /// *output* instead of one per input.
   std::vector<double> influence(const std::vector<RNode>& observe, const std::vector<RNode>& at);
 
-  /// Voltage of node n after solve().
+  /// Voltage of node n after the last solve.
   double voltage(RNode n) const;
 
   /// Current flowing a -> b through the conductance element `index`
-  /// (in insertion order) after solve().
+  /// (in insertion order) after the last solve.
   double element_current(std::size_t index) const;
 
   /// Total current delivered by the pin on node n (positive out of the
-  /// source into the network) after solve().
+  /// source into the network) after the last solve.
   double pin_current(RNode n) const;
 
   /// Number of conductance elements.
@@ -142,7 +134,6 @@ class ResistiveNetwork {
   std::vector<std::size_t> node_elem_idx_;
 
   // Direct-solver state.
-  SolverStrategy strategy_ = SolverStrategy::kCg;
   SparseLdlt ldlt_;
   bool factor_dirty_ = true;
 };

@@ -179,7 +179,7 @@ constexpr std::size_t kGemmTile = 4;
 constexpr std::size_t kGemmPanel = 16;
 
 // In every tile below, the k-loop (over r) stays outermost and strictly
-// sequential: each accumulator sees offset, then r = 0, 1, ... in order —
+// sequential: each accumulator starts at 0.0, then sees r = 0, 1, ... in order —
 // the exact addition sequence of the scalar matvec.
 
 /// Two queries' values of one operator row as a GCC/Clang vector. The
@@ -192,15 +192,9 @@ constexpr std::size_t kPairs = kGemmTile / 2;
 
 /// A full kGemmTile x kGemmTile tile with compile-time bounds. `xt` is
 /// the panel at the tile's first query: xt[r * kGemmPanel + qi].
-void gemm_full_tile(const double* op, const double* offset, const double* xt, std::size_t rows,
-                    std::size_t cols, double* c) {
-  QueryPair acc[kGemmTile][kPairs];  // lane l of acc[ji][p] is query 2p + l
-  for (std::size_t ji = 0; ji < kGemmTile; ++ji) {
-    const double o = offset != nullptr ? offset[ji] : 0.0;
-    for (std::size_t p = 0; p < kPairs; ++p) {
-      acc[ji][p] = QueryPair{o, o};
-    }
-  }
+void gemm_full_tile(const double* op, const double* xt, std::size_t rows, std::size_t cols,
+                    double* c) {
+  QueryPair acc[kGemmTile][kPairs] = {};  // lane l of acc[ji][p] is query 2p + l
   for (std::size_t r = 0; r < rows; ++r) {
     QueryPair x_r[kPairs];
     std::memcpy(x_r, xt + r * kGemmPanel, sizeof x_r);
@@ -222,14 +216,9 @@ void gemm_full_tile(const double* op, const double* offset, const double* xt, st
 }
 
 /// A remainder tile of qn x jn (each <= kGemmTile), runtime bounds.
-void gemm_edge_tile(const double* op, const double* offset, const double* xt, std::size_t rows,
-                    std::size_t cols, std::size_t qn, std::size_t jn, double* c) {
-  double acc[kGemmTile][kGemmTile];
-  for (std::size_t qi = 0; qi < qn; ++qi) {
-    for (std::size_t ji = 0; ji < jn; ++ji) {
-      acc[qi][ji] = offset != nullptr ? offset[ji] : 0.0;
-    }
-  }
+void gemm_edge_tile(const double* op, const double* xt, std::size_t rows, std::size_t cols,
+                    std::size_t qn, std::size_t jn, double* c) {
+  double acc[kGemmTile][kGemmTile] = {};
   for (std::size_t r = 0; r < rows; ++r) {
     double a_jr[kGemmTile];
     for (std::size_t ji = 0; ji < jn; ++ji) {
@@ -251,8 +240,8 @@ void gemm_edge_tile(const double* op, const double* offset, const double* xt, st
 
 }  // namespace
 
-void gemm_operator_batch(const double* op, const double* offset, const double* x,
-                         std::size_t rows, std::size_t cols, std::size_t batch, double* c) {
+void gemm_operator_batch(const double* op, const double* x, std::size_t rows, std::size_t cols,
+                         std::size_t batch, double* c) {
   if (batch == 0 || cols == 0) {
     return;
   }
@@ -274,12 +263,11 @@ void gemm_operator_batch(const double* op, const double* offset, const double* x
       for (std::size_t j0 = 0; j0 < cols; j0 += kGemmTile) {
         const std::size_t jn = std::min(kGemmTile, cols - j0);
         const double* op_tile = op + j0 * rows;
-        const double* offset_tile = offset != nullptr ? offset + j0 : nullptr;
         double* c_tile = c + (p0 + q0) * cols + j0;
         if (qn == kGemmTile && jn == kGemmTile) {
-          gemm_full_tile(op_tile, offset_tile, xt.data() + q0, rows, cols, c_tile);
+          gemm_full_tile(op_tile, xt.data() + q0, rows, cols, c_tile);
         } else {
-          gemm_edge_tile(op_tile, offset_tile, xt.data() + q0, rows, cols, qn, jn, c_tile);
+          gemm_edge_tile(op_tile, xt.data() + q0, rows, cols, qn, jn, c_tile);
         }
       }
     }

@@ -102,20 +102,19 @@ std::size_t argmin(const std::vector<double>& v);
 
 /// Applies a cols x rows row-major operator to a micro-batch of inputs:
 ///
-///     c[q * cols + j] = offset[j] + sum_r op[j * rows + r] * x[q * rows + r]
+///     c[q * cols + j] = sum_r op[j * rows + r] * x[q * rows + r]
 ///
 /// `x` holds `batch` input vectors of length `rows` back to back; `c`
-/// holds `batch` output vectors of length `cols`. `offset` may be null
-/// (treated as all zeros).
+/// holds `batch` output vectors of length `cols`.
 ///
 /// Register-blocked over (q, j) tiles so each operator row and each input
 /// vector is streamed once per tile, but the reduction over r is kept
 /// strictly sequential per (q, j) accumulator — the result is
 /// bit-identical to the naive per-query loop
-/// `acc = offset[j]; for r: acc += op[j][r] * x[q][r]`, which is what
+/// `acc = 0.0; for r: acc += op[j][r] * x[q][r]`, which is what
 /// lets batched recognition reproduce the sequential recognize() path
 /// exactly (no floating-point reassociation).
-void gemm_operator_batch(const double* op, const double* offset, const double* x,
-                         std::size_t rows, std::size_t cols, std::size_t batch, double* c);
+void gemm_operator_batch(const double* op, const double* x, std::size_t rows, std::size_t cols,
+                         std::size_t batch, double* c);
 
 }  // namespace spinsim

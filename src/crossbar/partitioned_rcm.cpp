@@ -36,30 +36,26 @@ void PartitionedRcm::program(const std::vector<std::vector<double>>& columns) {
   programmed_ = true;
 }
 
-void PartitionedRcm::set_parasitic_solver(CrossbarSolver solver) {
-  for (auto& block : blocks_) {
-    block->set_parasitic_solver(solver);
-  }
-}
-
 double PartitionedRcm::row_conductance(std::size_t row) const {
   require(row < config_.rows, "PartitionedRcm::row_conductance: out of range");
   const std::size_t rpb = config_.rows_per_block();
   return blocks_[row / rpb]->row_conductance(row % rpb);
 }
 
-std::vector<double> PartitionedRcm::column_currents_ideal(
-    const std::vector<double>& input_currents) const {
+std::vector<double> PartitionedRcm::sum_over_blocks(
+    const std::vector<double>& input_currents,
+    const std::function<std::vector<double>(RcmArray&, const std::vector<double>&)>& evaluate)
+    const {
   require(programmed_, "PartitionedRcm: program() before evaluation");
   require(input_currents.size() == config_.rows,
-          "PartitionedRcm::column_currents_ideal: need one current per row");
+          "PartitionedRcm: need one input current per row");
   const std::size_t rpb = config_.rows_per_block();
   std::vector<double> totals(config_.cols, 0.0);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const std::vector<double> slice(input_currents.begin() + static_cast<std::ptrdiff_t>(b * rpb),
                                     input_currents.begin() +
                                         static_cast<std::ptrdiff_t>((b + 1) * rpb));
-    const std::vector<double> partial = blocks_[b]->column_currents_ideal(slice);
+    const std::vector<double> partial = evaluate(*blocks_[b], slice);
     for (std::size_t j = 0; j < config_.cols; ++j) {
       totals[j] += partial[j];
     }
@@ -67,23 +63,18 @@ std::vector<double> PartitionedRcm::column_currents_ideal(
   return totals;
 }
 
+std::vector<double> PartitionedRcm::column_currents_ideal(
+    const std::vector<double>& input_currents) const {
+  return sum_over_blocks(input_currents, [](RcmArray& block, const std::vector<double>& slice) {
+    return block.column_currents_ideal(slice);
+  });
+}
+
 std::vector<double> PartitionedRcm::column_currents_parasitic(
-    const std::vector<double>& input_currents, double v_bias) {
-  require(programmed_, "PartitionedRcm: program() before evaluation");
-  require(input_currents.size() == config_.rows,
-          "PartitionedRcm::column_currents_parasitic: need one current per row");
-  const std::size_t rpb = config_.rows_per_block();
-  std::vector<double> totals(config_.cols, 0.0);
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const std::vector<double> slice(input_currents.begin() + static_cast<std::ptrdiff_t>(b * rpb),
-                                    input_currents.begin() +
-                                        static_cast<std::ptrdiff_t>((b + 1) * rpb));
-    const std::vector<double> partial = blocks_[b]->column_currents_parasitic(slice, v_bias);
-    for (std::size_t j = 0; j < config_.cols; ++j) {
-      totals[j] += partial[j];
-    }
-  }
-  return totals;
+    const std::vector<double>& input_currents) {
+  return sum_over_blocks(input_currents, [](RcmArray& block, const std::vector<double>& slice) {
+    return block.column_currents_parasitic(slice);
+  });
 }
 
 const RcmArray& PartitionedRcm::block(std::size_t index) const {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -45,24 +46,27 @@ class PartitionedRcm {
   /// weights, sliced row-wise across the blocks.
   void program(const std::vector<std::vector<double>>& columns);
 
-  /// Selects the parasitic evaluation algorithm on every block.
-  void set_parasitic_solver(CrossbarSolver solver);
-
   /// Total conductance on logical input bar `row` (within its block).
   double row_conductance(std::size_t row) const;
 
   /// Ideal column currents: per-block current division, summed.
   std::vector<double> column_currents_ideal(const std::vector<double>& input_currents) const;
 
-  /// Parasitic column currents: per-block nodal solves, summed. The
-  /// blocks' shorter bars are where the IR-drop advantage appears.
-  std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents,
-                                                double v_bias = 0.0);
+  /// Parasitic column currents: per-block transfer operators, summed.
+  /// The blocks' shorter bars are where the IR-drop advantage appears.
+  std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents);
 
   /// Access to an individual block (inspection, tests).
   const RcmArray& block(std::size_t index) const;
 
  private:
+  /// Slices `input_currents` row-wise across the blocks, evaluates each
+  /// slice with `evaluate(block, slice)`, and sums the per-column results.
+  std::vector<double> sum_over_blocks(
+      const std::vector<double>& input_currents,
+      const std::function<std::vector<double>(RcmArray&, const std::vector<double>&)>& evaluate)
+      const;
+
   PartitionedRcmConfig config_;
   std::vector<std::unique_ptr<RcmArray>> blocks_;
   bool programmed_ = false;

@@ -257,10 +257,13 @@ void RcmArray::column_currents_ideal_batch(const double* inputs, std::size_t bat
       s[row] = in[row] / (dummy_g_[row] + row_sums_[row]);
     }
   }
-  gemm_operator_batch(ideal_op_.data(), nullptr, scaled.data(), rows, config_.cols, batch, out);
+  gemm_operator_batch(ideal_op_.data(), scaled.data(), rows, config_.cols, batch, out);
 }
 
-void RcmArray::build_parasitic_network(double v_bias) {
+void RcmArray::ensure_network() {
+  if (net_) {
+    return;
+  }
   net_ = std::make_unique<ResistiveNetwork>();
   transfer_built_ = false;
   const std::size_t rows = config_.rows;
@@ -274,7 +277,6 @@ void RcmArray::build_parasitic_network(double v_bias) {
   const auto row_node = [&](std::size_t i, std::size_t j) { return row_base + i * cols + j; };
   const auto col_node = [&](std::size_t i, std::size_t j) { return col_base + i * cols + j; };
 
-  col_term_nodes_.clear();
   col_last_nodes_.clear();
   row_input_nodes_.clear();
 
@@ -286,15 +288,15 @@ void RcmArray::build_parasitic_network(double v_bias) {
     }
   }
 
-  // Column bars: segments down the bar, termination pinned at v_bias.
+  // Column bars: segments down the bar, termination pinned at the 0 V
+  // clamp reference.
   for (std::size_t j = 0; j < cols; ++j) {
     for (std::size_t i = 0; i + 1 < rows; ++i) {
       net_->add_conductance(col_node(i, j), col_node(i + 1, j), g_seg);
     }
     const RNode term = net_->add_node();
-    net_->fix_voltage(term, v_bias);
+    net_->fix_voltage(term, 0.0);
     net_->add_conductance(col_node(rows - 1, j), term, g_seg);
-    col_term_nodes_.push_back(term);
     col_last_nodes_.push_back(col_node(rows - 1, j));
   }
 
@@ -307,41 +309,28 @@ void RcmArray::build_parasitic_network(double v_bias) {
   }
 
   // Dummy devices: from the far end of each row bar to a shared wide bar
-  // held at the same bias (its own wire resistance is negligible).
+  // held at the same reference (its own wire resistance is negligible).
   if (config_.dummy_column) {
     const RNode dummy_bar = net_->add_node();
-    net_->fix_voltage(dummy_bar, v_bias);
+    net_->fix_voltage(dummy_bar, 0.0);
     for (std::size_t i = 0; i < rows; ++i) {
       if (dummy_g_[i] > 0.0) {
         net_->add_conductance(row_node(i, cols - 1), dummy_bar, dummy_g_[i]);
       }
     }
   }
-  net_v_bias_ = v_bias;
 }
 
-void RcmArray::ensure_network(double v_bias) {
-  if (!net_ || net_v_bias_ != v_bias) {
-    build_parasitic_network(v_bias);
-  }
-}
-
-void RcmArray::ensure_transfer(double v_bias) {
-  ensure_network(v_bias);
+void RcmArray::ensure_transfer() {
+  ensure_network();
   if (transfer_built_) {
     return;
   }
   const double g_seg = 1.0 / config_.segment_resistance();
 
-  // Baseline: column currents with no injections (exactly zero for a
-  // uniform bias, but computed so a future non-uniform clamp stays
-  // correct).
-  net_->clear_injections();
-  net_->solve_factored();
-  transfer_offset_ = extract_column_currents(v_bias);
-
-  // By reciprocity one factored solve per *output* column suffices:
-  // T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r), run as blocked
+  // With every pin at 0 V the column currents are linear in the inputs
+  // with no offset. By reciprocity one factored solve per *output* column
+  // suffices: T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r), run as blocked
   // multi-RHS sweeps. That is cols solves instead of rows solves: fewer
   // for the paper's 128x40 arrays, more for the 64x160 bench design,
   // where solving per input instead would change the operator's rounding.
@@ -352,25 +341,21 @@ void RcmArray::ensure_transfer(double v_bias) {
   transfer_built_ = true;
 }
 
-std::vector<double> RcmArray::extract_column_currents(double v_bias) const {
-  // The termination pin hangs off a single wire segment, so the column
-  // current is just that segment's current.
+std::vector<double> RcmArray::extract_column_currents() const {
+  // The termination pin hangs off a single wire segment at 0 V, so the
+  // column current is just that segment's current.
   const double g_seg = 1.0 / config_.segment_resistance();
   std::vector<double> out(config_.cols, 0.0);
   for (std::size_t j = 0; j < config_.cols; ++j) {
-    out[j] = (net_->voltage(col_last_nodes_[j]) - v_bias) * g_seg;
+    out[j] = net_->voltage(col_last_nodes_[j]) * g_seg;
   }
   return out;
 }
 
-void RcmArray::prepare_parasitic(double v_bias) { ensure_transfer(v_bias); }
+void RcmArray::prepare_parasitic() { ensure_transfer(); }
 
-bool RcmArray::transfer_ready(double v_bias) const {
-  return net_ != nullptr && transfer_built_ && net_v_bias_ == v_bias;
-}
-
-const std::vector<double>& RcmArray::transfer_operator(double v_bias) const {
-  require(transfer_ready(v_bias), "RcmArray::transfer_operator: call prepare_parasitic() first");
+const std::vector<double>& RcmArray::transfer_operator() const {
+  require(transfer_ready(), "RcmArray::transfer_operator: call prepare_parasitic() first");
   return transfer_;
 }
 
@@ -379,17 +364,17 @@ const ResistiveNetwork& RcmArray::parasitic_network() const {
   return *net_;
 }
 
-std::vector<double> RcmArray::column_currents_transfer(const std::vector<double>& input_currents,
-                                                       double v_bias) const {
+std::vector<double> RcmArray::column_currents_transfer(
+    const std::vector<double>& input_currents) const {
   require(input_currents.size() == config_.rows,
           "RcmArray::column_currents_transfer: need one input current per row");
-  require(transfer_ready(v_bias),
+  require(transfer_ready(),
           "RcmArray::column_currents_transfer: call prepare_parasitic() first");
   const std::size_t rows = config_.rows;
   std::vector<double> out(config_.cols, 0.0);
   for (std::size_t j = 0; j < config_.cols; ++j) {
     const double* t_row = &transfer_[j * rows];
-    double acc = transfer_offset_[j];
+    double acc = 0.0;
     for (std::size_t r = 0; r < rows; ++r) {
       acc += t_row[r] * input_currents[r];
     }
@@ -399,40 +384,34 @@ std::vector<double> RcmArray::column_currents_transfer(const std::vector<double>
 }
 
 void RcmArray::column_currents_transfer_batch(const double* inputs, std::size_t batch,
-                                              double* out, double v_bias) const {
-  require(transfer_ready(v_bias),
+                                              double* out) const {
+  require(transfer_ready(),
           "RcmArray::column_currents_transfer_batch: call prepare_parasitic() first");
-  gemm_operator_batch(transfer_.data(), transfer_offset_.data(), inputs, config_.rows,
-                      config_.cols, batch, out);
+  gemm_operator_batch(transfer_.data(), inputs, config_.rows, config_.cols, batch, out);
 }
 
 std::vector<double> RcmArray::column_currents_parasitic(
-    const std::vector<double>& input_currents, double v_bias) {
+    const std::vector<double>& input_currents) {
   require(input_currents.size() == config_.rows,
           "RcmArray::column_currents_parasitic: need one input current per row");
 
   if (solver_ == CrossbarSolver::kTransfer) {
-    ensure_transfer(v_bias);
-    return column_currents_transfer(input_currents, v_bias);
+    ensure_transfer();
+    return column_currents_transfer(input_currents);
   }
 
-  ensure_network(v_bias);
+  ensure_network();
   for (std::size_t i = 0; i < config_.rows; ++i) {
     net_->set_injection(row_input_nodes_[i], input_currents[i]);
   }
-  if (solver_ == CrossbarSolver::kFactored) {
-    net_->solve_factored();
-  } else {
-    net_->solve_cg();
-  }
-  return extract_column_currents(v_bias);
+  net_->solve_cg();
+  return extract_column_currents();
 }
 
 void RcmArray::invalidate_parasitic_cache() {
   net_.reset();
   transfer_built_ = false;
   transfer_.clear();
-  transfer_offset_.clear();
   ideal_built_ = false;
   ideal_op_.clear();
 }

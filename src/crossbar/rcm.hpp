@@ -10,10 +10,17 @@
 /// Two evaluation paths:
 ///  * ideal: current division I(i,j) = I_in(i) g_ij / G_TS(i) summed per
 ///    column — the closed form the paper's Section 4A derives, exact when
-///    wire parasitics vanish and all column ends sit at the same bias.
-///  * parasitic: a full nodal solve over the 2 * rows * cols wire-junction
-///    network with per-segment Cu bar resistance (Table 2: 1 Ohm/um),
-///    which produces the IR-drop margin degradation of Fig. 9.
+///    wire parasitics vanish.
+///  * parasitic: the 2 * rows * cols wire-junction network with
+///    per-segment Cu bar resistance (Table 2: 1 Ohm/um), which produces
+///    the IR-drop margin degradation of Fig. 9.
+///
+/// Every column bar ends at the DWN clamp, which is the 0 V reference of
+/// the network; the bias dV of Fig. 9b enters only through the DTCS DACs
+/// that set the row input currents. With all pins at one potential the
+/// network is linear in those currents, so the parasitic path is a
+/// rows x cols transfer operator built once from the LDL^T factor and
+/// applied as one GEMM per batch.
 ///
 /// A per-row *dummy memristor* pads every row's total conductance G_TS to
 /// a common value so the DTCS-DAC sees a data-independent load (Section
@@ -62,7 +69,6 @@ struct RcmConfig {
 /// Which algorithm evaluates the parasitic network.
 enum class CrossbarSolver {
   kCg,        ///< iterative CG per query (reference path)
-  kFactored,  ///< LDL^T factored once, two triangular solves per query
   kTransfer,  ///< precomputed rows x cols transfer operator, dense matvec
 };
 
@@ -150,59 +156,56 @@ class RcmArray {
   /// threads via pointer offsets).
   void column_currents_ideal_batch(const double* inputs, std::size_t batch, double* out) const;
 
-  /// Selects the parasitic evaluation algorithm. All three paths agree to
-  /// solver tolerance; kTransfer (the default) amortizes one factorization
-  /// plus `cols` triangular solves across every subsequent query, which
-  /// then costs a dense rows x cols matvec.
+  /// Selects the parasitic evaluation algorithm. Both paths agree to CG
+  /// tolerance; kTransfer (the default) amortizes one factorization plus
+  /// `cols` triangular solves across every subsequent query, which then
+  /// costs a dense rows x cols matvec.
   void set_parasitic_solver(CrossbarSolver solver) { solver_ = solver; }
   CrossbarSolver parasitic_solver() const { return solver_; }
 
-  /// Full parasitic nodal solve. Input currents are injected at the left
-  /// edge of each row bar; every column bar terminates at `v_bias` (the
-  /// DWN clamp) at the bottom edge. Returns the current delivered into
+  /// Parasitic column currents. Input currents are injected at the left
+  /// edge of each row bar; every column bar ends at the 0 V clamp
+  /// reference at the bottom edge. Returns the current delivered into
   /// each column termination [A]. Cost depends on the selected solver:
   /// one CG solve over ~2*rows*cols nodes (kCg, warm-started across
-  /// calls), two sparse triangular solves (kFactored), or a dense
-  /// rows x cols matvec (kTransfer).
-  std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents,
-                                                double v_bias = 0.0);
+  /// calls) or a dense rows x cols matvec (kTransfer).
+  std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents);
 
   /// Builds (or reuses) the parasitic network, its factorization and the
-  /// transfer operator for `v_bias`, so subsequent kTransfer queries are
-  /// pure matvecs — and column_currents_transfer() becomes callable from
-  /// const contexts (e.g. thread-parallel batch dispatch).
-  void prepare_parasitic(double v_bias = 0.0);
+  /// transfer operator, so subsequent kTransfer queries are pure matvecs
+  /// — and column_currents_transfer() becomes callable from const
+  /// contexts (e.g. thread-parallel batch dispatch).
+  void prepare_parasitic();
 
-  /// True once prepare_parasitic(v_bias) has run (and nothing invalidated
-  /// the cache since).
-  bool transfer_ready(double v_bias = 0.0) const;
+  /// True once prepare_parasitic() has run (and nothing invalidated the
+  /// cache since).
+  bool transfer_ready() const { return net_ != nullptr && transfer_built_; }
 
   /// The cached transfer operator T behind column_currents_transfer():
   /// cols x rows, T[j * rows + r] = dI(column j) / dI_in(row r). Requires
-  /// transfer_ready(v_bias).
-  const std::vector<double>& transfer_operator(double v_bias = 0.0) const;
+  /// transfer_ready().
+  const std::vector<double>& transfer_operator() const;
 
-  /// The cached parasitic network of the last prepare_parasitic() or
-  /// kFactored/kCg evaluation. Node layout: the row-bar junction (i, j)
-  /// is node i * cols + j (row i's input is node i * cols), the column-bar
+  /// The cached parasitic network of the last prepare_parasitic() or kCg
+  /// evaluation. Node layout: the row-bar junction (i, j) is node
+  /// i * cols + j (row i's input is node i * cols), the column-bar
   /// junction (i, j) is node (rows + i) * cols + j, then each column's
   /// pinned termination, then the dummy bar. Throws InvalidArgument if no
   /// network is cached.
   const ResistiveNetwork& parasitic_network() const;
 
-  /// Applies the cached transfer operator: out = I0 + T * in. Requires
-  /// transfer_ready(v_bias); const and thread-safe.
-  std::vector<double> column_currents_transfer(const std::vector<double>& input_currents,
-                                               double v_bias = 0.0) const;
+  /// Applies the cached transfer operator: out = T * in. Requires
+  /// transfer_ready(); const and thread-safe.
+  std::vector<double> column_currents_transfer(const std::vector<double>& input_currents) const;
 
   /// Batched transfer evaluation: `inputs` holds `batch` per-row input
   /// current vectors back to back (batch x rows), `out` receives batch x
   /// cols column currents. One cache-blocked GEMM against the cached
   /// transfer operator; each query's result is bit-identical to
   /// column_currents_transfer() on the same inputs. Requires
-  /// transfer_ready(v_bias); const and thread-safe.
-  void column_currents_transfer_batch(const double* inputs, std::size_t batch, double* out,
-                                      double v_bias = 0.0) const;
+  /// transfer_ready(); const and thread-safe.
+  void column_currents_transfer_batch(const double* inputs, std::size_t batch,
+                                      double* out) const;
 
   /// Drops the cached parasitic network (after reprogramming).
   void invalidate_parasitic_cache();
@@ -217,11 +220,10 @@ class RcmArray {
 
  private:
   void program_cell_unchecked(std::size_t row, std::size_t col, std::size_t level);
-  void build_parasitic_network(double v_bias);
-  void ensure_network(double v_bias);
-  void ensure_transfer(double v_bias);
+  void ensure_network();
+  void ensure_transfer();
   void ensure_row_sums() const;
-  std::vector<double> extract_column_currents(double v_bias) const;
+  std::vector<double> extract_column_currents() const;
 
   RcmConfig config_;
   Rng rng_;
@@ -245,16 +247,13 @@ class RcmArray {
   // Cached parasitic network (topology fixed after programming).
   CrossbarSolver solver_ = CrossbarSolver::kTransfer;
   std::unique_ptr<ResistiveNetwork> net_;
-  double net_v_bias_ = 0.0;
   std::vector<RNode> row_input_nodes_;
-  std::vector<RNode> col_term_nodes_;
   std::vector<RNode> col_last_nodes_;
 
-  // Transfer operator: column currents = transfer_offset_ + T * inputs,
-  // with T stored column-major per output (transfer_[j * rows + r]).
+  // Transfer operator: column currents = T * inputs, with T stored
+  // column-major per output (transfer_[j * rows + r]).
   bool transfer_built_ = false;
   std::vector<double> transfer_;
-  std::vector<double> transfer_offset_;
 
   // Ideal operator in the same GEMM layout (ideal_op_[j * rows + r] =
   // g_rj), built by prepare_ideal() and dropped on any reprogramming.

@@ -77,13 +77,6 @@ TEST(RecognizeBatch, MatchesSequentialParasiticTransfer) {
   expect_batch_matches_sequential(c, 4);
 }
 
-TEST(RecognizeBatch, MatchesSequentialParasiticFactored) {
-  SpinAmmConfig c = batch_config();
-  c.model = CrossbarModel::kParasitic;
-  c.parasitic_solver = CrossbarSolver::kFactored;
-  expect_batch_matches_sequential(c, 4);  // falls back to serial front end
-}
-
 TEST(RecognizeBatch, MatchesSequentialParasiticCg) {
   SpinAmmConfig c = batch_config();
   c.model = CrossbarModel::kParasitic;
