@@ -837,9 +837,7 @@ OverloadBenchResult run_overload_benchmark() {
 
   const auto hardened_config = [&] {
     RecognitionServiceConfig config = edge_config();
-    config.overload.enabled = true;
     config.overload.target_p99_us = out.target_p99_us;
-    config.overload.brownout_factor = 2.0;
     config.overload.period_queries = 128;
     return config;
   };

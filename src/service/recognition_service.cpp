@@ -9,6 +9,18 @@
 
 namespace spinsim {
 
+namespace {
+
+// Overload-controller watermarks, as multiples of target_p99_us (see
+// OverloadControlConfig).
+constexpr double kBrownoutFactor = 2.0;
+constexpr double kLowWatermark = 0.5;
+// Breaker cooldown growth per consecutive ejection, and its cap.
+constexpr double kBreakerBackoff = 2.0;
+constexpr std::chrono::microseconds kBreakerMaxCooldown{5000000};
+
+}  // namespace
+
 RecognitionService::RecognitionService(const RecognitionServiceConfig& config,
                                        EngineFactory factory)
     : config_(config),
@@ -22,20 +34,12 @@ RecognitionService::RecognitionService(const RecognitionServiceConfig& config,
           "RecognitionService: shard_timeout cannot be negative");
   require(config_.breaker_failure_threshold >= 1,
           "RecognitionService: breaker_failure_threshold must be positive");
-  require(config_.breaker_backoff >= 1.0, "RecognitionService: breaker_backoff must be >= 1");
   require(config_.breaker_cooldown.count() >= 0,
           "RecognitionService: breaker_cooldown cannot be negative");
-  require(config_.breaker_max_cooldown >= config_.breaker_cooldown,
-          "RecognitionService: breaker_max_cooldown must be >= breaker_cooldown");
-  if (config_.overload.enabled) {
-    const OverloadControlConfig& oc = config_.overload;
-    require(oc.target_p99_us > 0.0,
-            "RecognitionService: overload control needs a positive target_p99_us");
-    require(oc.brownout_factor >= 1.0,
-            "RecognitionService: overload brownout_factor must be >= 1");
-    require(oc.low_watermark >= 0.0 && oc.low_watermark < 1.0,
-            "RecognitionService: overload low_watermark must lie in [0, 1)");
-    require(oc.period_queries >= 1,
+  require(config_.breaker_cooldown <= kBreakerMaxCooldown,
+          "RecognitionService: breaker_cooldown cannot exceed the 5 s cap");
+  if (config_.overload.target_p99_us > 0.0) {
+    require(config_.overload.period_queries >= 1,
             "RecognitionService: overload period_queries must be positive");
   }
 }
@@ -117,10 +121,8 @@ void RecognitionService::store_templates(const std::vector<FeatureVector>& templ
     queries_since_scrub_ = 0;
     repair_alarm_active_ = false;
     {
-      // A worker of the old incarnation may have pushed a completion after
-      // the old collector drained its in-flight batches (an abandoned job
-      // finishing late); generations restart with the new shard set, so a
-      // stale entry could alias a fresh one.
+      // Generations restart with the new shard set, so a completion left
+      // over from the old incarnation could alias a fresh one.
       LockGuard lock(done_mutex_);
       completions_.clear();
     }
@@ -373,17 +375,17 @@ RecognitionServiceStats RecognitionService::stats() const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto& shard = shards_[s];
     RecognitionServiceStats::ShardStats ss;
-    bool busy = false;
+    bool wedged = false;
     {
       LockGuard lock(shard->mutex);
       ss.batches = shard->batches_run;
       ss.p50_batch_us = shard->batch_latency_us.percentile(0.50);
       ss.p95_batch_us = shard->batch_latency_us.percentile(0.95);
       ss.p99_batch_us = shard->batch_latency_us.percentile(0.99);
-      busy = shard->busy;
+      wedged = shard->wedged();
     }
     ss.breaker = health[s].state;
-    ss.available = health[s].state != RecognitionServiceStats::BreakerState::kOpen && !busy;
+    ss.available = health[s].state != RecognitionServiceStats::BreakerState::kOpen && !wedged;
     ss.failures = health[s].failures;
     ss.timeouts = health[s].timeouts;
     ss.retries = health[s].retries;
@@ -414,55 +416,30 @@ void RecognitionService::fail_stopped(std::vector<Request>& doomed) {
 }
 
 void RecognitionService::collector_loop() {
-  // The streaming pipeline: at most two batches are in flight (the one
-  // being served plus one double-buffered successor). Per-shard answers
-  // fold into the running merge as they land in completions_; batches
-  // finalise strictly in formation order.
-  std::deque<InFlight> inflight;
+  // One micro-batch in flight: form it, post it, fold the per-shard
+  // answers as they stream into completions_ until every post has settled
+  // (answered, timed out or out of retries), deliver, and loop.
   for (;;) {
-    // ---- 1. Drain streamed completions and fold them in.
-    std::deque<Completion> ready;
-    {
-      LockGuard lock(done_mutex_);
-      ready.swap(completions_);
-    }
-    for (auto& done : ready) {
-      handle_completion(inflight, std::move(done));
-    }
-
-    // ---- 2. Abandon posts whose watchdog deadline passed.
-    expire_watchdog(inflight);
-
-    // ---- 3. Finalise settled batches, oldest first (delivery keeps
-    // formation order, like the barrier design).
-    while (!inflight.empty() && inflight.front().outstanding == 0) {
-      complete_dispatch(inflight.front());
-      inflight.pop_front();
-    }
-
-    // ---- 4. Form the next batch when there is room in the pipeline. A
-    // successor batch (inflight non-empty) is only worth forming once
-    // some shard could start it immediately; until then queued requests
-    // keep accumulating into a bigger, better-amortised batch — and the
-    // queue-cap/deadline semantics stay those of the barrier design.
-    const bool room =
-        inflight.size() < 2 && (inflight.empty() || has_idle_candidate());
-    bool stopping = false;
     std::vector<Request> batch;
     std::vector<Request> shed;
     {
       UniqueLock lock(queue_mutex_);
-      if (inflight.empty()) {
-        // Nothing in flight: block until work or shutdown. (The
-        // SPINSIM_NO_TSA predicates run with queue_mutex_ held — TSA
-        // cannot follow the cv's unlock/relock around them.)
-        queue_cv_.wait(lock, [&]() SPINSIM_NO_TSA { return stopping_ || !queue_.empty(); });
+      // Block until work or shutdown. (The SPINSIM_NO_TSA predicates run
+      // with queue_mutex_ held — TSA cannot follow the cv's unlock/relock
+      // around them.)
+      queue_cv_.wait(lock, [&]() SPINSIM_NO_TSA { return stopping_ || !queue_.empty(); });
+      if (!stopping_ && queue_.size() < config_.max_batch &&
+          config_.admission_window.count() > 0) {
+        // Admission window: from the moment work is pending, wait a
+        // bounded extra beat for more arrivals so they share one dispatch.
+        queue_cv_.wait_for(lock, config_.admission_window, [&]() SPINSIM_NO_TSA {
+          return stopping_ || queue_.size() >= config_.max_batch;
+        });
       }
-      stopping = stopping_;
-      if (stopping && inflight.empty()) {
-        // Shutdown (or re-init), with every in-flight batch already
-        // delivered: nothing still queued gets dispatched, nothing gets
-        // dropped — every future fails with ServiceStopped.
+      if (stopping_) {
+        // Shutdown (or re-init), with the last batch already delivered:
+        // nothing still queued gets dispatched, nothing gets dropped —
+        // every future fails with ServiceStopped.
         std::vector<Request> doomed(std::make_move_iterator(queue_.begin()),
                                     std::make_move_iterator(queue_.end()));
         queue_.clear();
@@ -471,37 +448,23 @@ void RecognitionService::collector_loop() {
         fail_stopped(doomed);
         return;
       }
-      if (!stopping && room && !queue_.empty()) {
-        if (queue_.size() < config_.max_batch && config_.admission_window.count() > 0) {
-          // Admission window: from the moment work is pending, wait a
-          // bounded extra beat for more arrivals so they share one
-          // dispatch. With a batch in flight the wait overlaps its
-          // compute — workers drain their own job queues meanwhile.
-          queue_cv_.wait_for(lock, config_.admission_window, [&]() SPINSIM_NO_TSA {
-            return stopping_ || queue_.size() >= config_.max_batch;
-          });
-          stopping = stopping_;
+      // Deadline shedding at batch formation: expired queries never reach
+      // a shard. (Expired entries deeper in the queue are shed when they
+      // surface — order is preserved, so they surface before anything that
+      // could still make its deadline.)
+      const Clock::TimePoint now = clock_->now();
+      while (batch.size() < config_.max_batch && !queue_.empty()) {
+        Request request = std::move(queue_.front());
+        queue_.pop_front();
+        if (request.deadline <= now) {
+          shed.push_back(std::move(request));
+        } else {
+          batch.push_back(std::move(request));
         }
-        if (!stopping) {
-          // Deadline shedding at batch formation: expired queries never
-          // reach a shard. (Expired entries deeper in the queue are shed
-          // when they surface — order is preserved, so they surface
-          // before anything that could still make its deadline.)
-          const Clock::TimePoint now = clock_->now();
-          while (batch.size() < config_.max_batch && !queue_.empty()) {
-            Request request = std::move(queue_.front());
-            queue_.pop_front();
-            if (request.deadline <= now) {
-              shed.push_back(std::move(request));
-            } else {
-              batch.push_back(std::move(request));
-            }
-          }
-          in_flight_ += batch.size();
-          if (batch.empty() && queue_.empty() && in_flight_ == 0) {
-            idle_cv_.notify_all();
-          }
-        }
+      }
+      in_flight_ += batch.size();
+      if (batch.empty() && queue_.empty()) {
+        idle_cv_.notify_all();
       }
     }
 
@@ -515,51 +478,56 @@ void RecognitionService::collector_loop() {
       stat_queries_ += shed.size();
       stat_shed_deadline_ += shed.size();
     }
-
-    if (!batch.empty()) {
-      // ---- 5. Post the new batch into the shard job queues and loop:
-      // a zero-candidate post settles immediately and step 3 fails it.
-      inflight.emplace_back();
-      InFlight& flight = inflight.back();
-      flight.requests = std::move(batch);
-      auto inputs = std::make_shared<std::vector<FeatureVector>>();
-      inputs->reserve(flight.requests.size());
-      for (auto& request : flight.requests) {
-        inputs->push_back(std::move(request.input));  // dead after dispatch
-      }
-      flight.inputs = inputs;
-      const std::size_t n = flight.requests.size();
-      flight.best.resize(n);
-      flight.best_shard.assign(n, 0);
-      flight.second.assign(n, -std::numeric_limits<double>::infinity());
-      flight.has_best.assign(n, false);
-      post_dispatch(flight);
+    if (batch.empty()) {
       continue;
     }
 
-    // ---- 6. Nothing to form: block until a completion lands, bounded
-    // by the nearest watchdog deadline among outstanding posts.
-    if (!inflight.empty()) {
-      Clock::TimePoint nearest = Clock::TimePoint::max();
-      for (const InFlight& flight : inflight) {
-        for (const auto& pending : flight.pending) {
-          if (pending.posted && !pending.settled) {
-            nearest = std::min(nearest, pending.deadline);
-          }
-        }
-      }
-      UniqueLock lock(done_mutex_);
-      const auto completed = [&]() SPINSIM_NO_TSA { return !completions_.empty(); };
-      if (nearest == Clock::TimePoint::max()) {
-        done_cv_.wait(lock, completed);
-      } else {
-        auto remaining = nearest - wall_clock_->now();
-        if (remaining.count() < 0) {
-          remaining = remaining.zero();
-        }
-        done_cv_.wait_for(lock, remaining, completed);
-      }
+    InFlight flight;
+    flight.requests = std::move(batch);
+    auto inputs = std::make_shared<std::vector<FeatureVector>>();
+    inputs->reserve(flight.requests.size());
+    for (auto& request : flight.requests) {
+      inputs->push_back(std::move(request.input));  // dead after dispatch
     }
+    flight.inputs = inputs;
+    const std::size_t n = flight.requests.size();
+    flight.best.resize(n);
+    flight.best_shard.assign(n, 0);
+    flight.second.assign(n, -std::numeric_limits<double>::infinity());
+    flight.has_best.assign(n, false);
+    post_dispatch(flight);
+
+    // A zero-candidate post settles at once and complete_dispatch fails it.
+    while (flight.outstanding > 0) {
+      // Block until a completion lands, bounded by the nearest watchdog
+      // deadline among the outstanding posts.
+      Clock::TimePoint nearest = Clock::TimePoint::max();
+      for (const auto& pending : flight.pending) {
+        if (pending.posted && !pending.settled) {
+          nearest = std::min(nearest, pending.deadline);
+        }
+      }
+      std::deque<Completion> ready;
+      {
+        UniqueLock lock(done_mutex_);
+        const auto completed = [&]() SPINSIM_NO_TSA { return !completions_.empty(); };
+        if (nearest == Clock::TimePoint::max()) {
+          done_cv_.wait(lock, completed);
+        } else {
+          auto remaining = nearest - wall_clock_->now();
+          if (remaining.count() < 0) {
+            remaining = remaining.zero();
+          }
+          done_cv_.wait_for(lock, remaining, completed);
+        }
+        ready.swap(completions_);
+      }
+      for (auto& done : ready) {
+        handle_completion(flight, std::move(done));
+      }
+      expire_watchdog(flight);
+    }
+    complete_dispatch(flight);
   }
 }
 
@@ -625,19 +593,19 @@ void RecognitionService::shard_loop(std::size_t index) {
     {
       UniqueLock lock(shard->mutex);
       shard->cv.wait(lock, [&]() SPINSIM_NO_TSA {
-        return shard->stop || !shard->jobs.empty() || shard->scrub;
+        return shard->stop || shard->job || shard->scrub;
       });
       if (shard->stop) {
         return;
       }
-      if (!shard->jobs.empty()) {
+      if (shard->job) {
         // Serving beats scrubbing: a pending scrub flag survives to the
         // next wake-up.
-        Shard::Job next = std::move(shard->jobs.front());
-        shard->jobs.pop_front();
+        Shard::Job next = std::move(*shard->job);
+        shard->job.reset();
         if (next.gen <= shard->abandoned_gen) {
-          // Abandoned while still queued (e.g. a double-buffered batch
-          // behind a wedged probe) — drop it without touching `busy`.
+          // Abandoned while still in the slot (e.g. posted behind a
+          // maintain() scrub) — drop it without touching `busy`.
           continue;
         }
         job = std::move(next.inputs);
@@ -694,7 +662,7 @@ void RecognitionService::post_to_shard(std::size_t index, InFlight& flight) {
   {
     LockGuard lock(shard.mutex);
     gen = ++shard.next_gen;
-    shard.jobs.push_back(Shard::Job{flight.inputs, gen});
+    shard.job = Shard::Job{flight.inputs, gen};
   }
   shard.cv.notify_all();
   if (!pending.posted) {
@@ -712,20 +680,18 @@ void RecognitionService::post_to_shard(std::size_t index, InFlight& flight) {
 
 void RecognitionService::post_dispatch(InFlight& flight) {
   flight.pending.assign(shards_.size(), InFlight::PendingShard{});
-  // Shard eligibility: skip workers wedged in an abandoned job, skip
-  // shards whose pipeline is already full (depth 2: one running, one
-  // queued), and skip shards whose breaker is open (an elapsed cooldown
-  // admits one half-open probe).
+  // Shard eligibility: skip workers wedged in an abandoned job, and skip
+  // shards whose breaker is open (an elapsed cooldown admits one
+  // half-open probe).
   const Clock::TimePoint now = clock_->now();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    bool full = false;
+    bool wedged = false;
     {
       LockGuard lock(shard.mutex);
-      const bool wedged = shard.busy && shard.running_gen <= shard.abandoned_gen;
-      full = wedged || shard.jobs.size() + (shard.busy ? 1u : 0u) >= 2;
+      wedged = shard.wedged();
     }
-    if (full) {
+    if (wedged) {
       continue;
     }
     bool admit = true;
@@ -746,31 +712,6 @@ void RecognitionService::post_dispatch(InFlight& flight) {
     flight.pending[s].retries_left = config_.shard_retries;
     post_to_shard(s, flight);
   }
-}
-
-bool RecognitionService::has_idle_candidate() {
-  // A successor batch is only worth double-buffering once some shard
-  // could start on it immediately: not busy, empty job queue, and a
-  // breaker that would admit it. Otherwise queued requests keep
-  // accumulating (preserving queue-cap and deadline-shed semantics).
-  const Clock::TimePoint now = clock_->now();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    {
-      LockGuard lock(shard.mutex);
-      if (shard.busy || !shard.jobs.empty()) {
-        continue;
-      }
-    }
-    LockGuard lock(stats_mutex_);
-    const Health& health = health_[s];
-    if (health.state == RecognitionServiceStats::BreakerState::kOpen &&
-        now < health.open_until) {
-      continue;
-    }
-    return true;
-  }
-  return false;
 }
 
 void RecognitionService::note_shard_success(std::size_t index) {
@@ -800,9 +741,8 @@ void RecognitionService::note_shard_exclusion(std::size_t index, bool timeout) {
     health.open_until = clock_->now() + health.cooldown;
     health.cooldown = std::min(
         std::chrono::microseconds{static_cast<std::int64_t>(
-            std::llround(static_cast<double>(health.cooldown.count()) *
-                         config_.breaker_backoff))},
-        config_.breaker_max_cooldown);
+            std::llround(static_cast<double>(health.cooldown.count()) * kBreakerBackoff))},
+        kBreakerMaxCooldown);
     health.ejections += 1;
   }
 }
@@ -837,23 +777,15 @@ void RecognitionService::fold_shard_results(InFlight& flight, std::size_t shard_
   }
 }
 
-void RecognitionService::handle_completion(std::deque<InFlight>& inflight, Completion&& done) {
-  // Match the completion against the in-flight batch that posted it;
-  // anything unmatched is a late echo of an abandoned or re-initialised
-  // post and is dropped.
-  InFlight* flight = nullptr;
-  for (InFlight& candidate : inflight) {
-    const InFlight::PendingShard& pending = candidate.pending[done.shard];
-    if (pending.posted && !pending.settled && pending.gen == done.gen) {
-      flight = &candidate;
-      break;
-    }
-  }
-  if (flight == nullptr) {
+void RecognitionService::handle_completion(InFlight& flight, Completion&& done) {
+  // Match the completion against the in-flight batch's latest post to
+  // that shard; anything else is a late echo of an abandoned or
+  // re-initialised post and is dropped.
+  InFlight::PendingShard& pending = flight.pending[done.shard];
+  if (!pending.posted || pending.settled || pending.gen != done.gen) {
     return;
   }
-  InFlight::PendingShard& pending = flight->pending[done.shard];
-  if (!done.error && done.results.size() != flight->requests.size()) {
+  if (!done.error && done.results.size() != flight.requests.size()) {
     // An engine that answers the wrong number of queries is as broken as
     // one that throws — and not worth retrying.
     done.error = std::make_exception_ptr(InvalidArgument(
@@ -861,8 +793,8 @@ void RecognitionService::handle_completion(std::deque<InFlight>& inflight, Compl
     pending.retries_left = 0;
   }
   if (done.error) {
-    if (!flight->first_error) {
-      flight->first_error = done.error;
+    if (!flight.first_error) {
+      flight.first_error = done.error;
     }
     {
       LockGuard lock(stats_mutex_);
@@ -874,66 +806,60 @@ void RecognitionService::handle_completion(std::deque<InFlight>& inflight, Compl
         LockGuard lock(stats_mutex_);
         health_[done.shard].retries += 1;
       }
-      post_to_shard(done.shard, *flight);  // repost in place
+      post_to_shard(done.shard, flight);  // repost in place
       return;
     }
     note_shard_exclusion(done.shard, /*timeout=*/false);
     pending.settled = true;
-    flight->outstanding -= 1;
+    flight.outstanding -= 1;
     return;
   }
   note_shard_success(done.shard);
-  fold_shard_results(*flight, done.shard, std::move(done.results));
+  fold_shard_results(flight, done.shard, std::move(done.results));
   pending.settled = true;
-  flight->outstanding -= 1;
-  flight->answered_shards += 1;
-  flight->covered_columns += shards_[done.shard]->columns;
+  flight.outstanding -= 1;
+  flight.answered_shards += 1;
+  flight.covered_columns += shards_[done.shard]->columns;
 }
 
-void RecognitionService::expire_watchdog(std::deque<InFlight>& inflight) {
+void RecognitionService::expire_watchdog(InFlight& flight) {
   if (config_.shard_timeout.count() <= 0) {
     return;
   }
   const Clock::TimePoint now = wall_clock_->now();
-  std::vector<std::size_t> timed_out;
-  for (InFlight& flight : inflight) {
-    for (std::size_t s = 0; s < flight.pending.size(); ++s) {
-      InFlight::PendingShard& pending = flight.pending[s];
-      if (!pending.posted || pending.settled || now < pending.deadline) {
-        continue;
-      }
-      // Stuck-shard watchdog: abandon the post. Before abandoning,
-      // re-scan the completion queue under shard.mutex + done_mutex_ —
-      // the worker may have pushed the answer between our drain and this
-      // deadline check, and the rank order (kShard < kServiceDone) makes
-      // the rescue race-free against the worker's abandon-check+push.
-      Shard& shard = *shards_[s];
-      bool rescued = false;
-      {
-        LockGuard lock(shard.mutex);
-        LockGuard done_lock(done_mutex_);
-        for (const Completion& done : completions_) {
-          if (done.shard == s && done.gen == pending.gen) {
-            rescued = true;
-            break;
-          }
-        }
-        if (!rescued) {
-          shard.abandoned_gen = std::max(shard.abandoned_gen, pending.gen);
-        }
-      }
-      if (rescued) {
-        continue;  // the drained completion settles it on the next pass
-      }
-      // The worker keeps running and discards the stale results; `busy`
-      // stays set until then, so later dispatches skip this shard
-      // instead of queueing behind it.
-      pending.settled = true;
-      flight.outstanding -= 1;
-      timed_out.push_back(s);
+  for (std::size_t s = 0; s < flight.pending.size(); ++s) {
+    InFlight::PendingShard& pending = flight.pending[s];
+    if (!pending.posted || pending.settled || now < pending.deadline) {
+      continue;
     }
-  }
-  for (const std::size_t s : timed_out) {
+    // Stuck-shard watchdog: abandon the post. Before abandoning, re-scan
+    // the completion queue under shard.mutex + done_mutex_ — the worker
+    // may have pushed the answer between our drain and this deadline
+    // check, and the rank order (kShard < kServiceDone) makes the rescue
+    // race-free against the worker's abandon-check+push.
+    Shard& shard = *shards_[s];
+    bool rescued = false;
+    {
+      LockGuard lock(shard.mutex);
+      LockGuard done_lock(done_mutex_);
+      for (const Completion& done : completions_) {
+        if (done.shard == s && done.gen == pending.gen) {
+          rescued = true;
+          break;
+        }
+      }
+      if (!rescued) {
+        shard.abandoned_gen = std::max(shard.abandoned_gen, pending.gen);
+      }
+    }
+    if (rescued) {
+      continue;  // the drained completion settles it on the next pass
+    }
+    // The worker keeps running and discards the stale results; `busy`
+    // stays set until then, so later dispatches skip this shard instead
+    // of posting behind it.
+    pending.settled = true;
+    flight.outstanding -= 1;
     note_shard_exclusion(s, /*timeout=*/true);
   }
 }
@@ -1071,7 +997,7 @@ void RecognitionService::finish_dispatch(std::size_t delivered) {
 
 void RecognitionService::controller_step(const std::vector<double>& latencies_us) {
   const OverloadControlConfig& oc = config_.overload;
-  if (!oc.enabled) {
+  if (oc.target_p99_us <= 0.0) {
     return;
   }
   for (const double latency : latencies_us) {
@@ -1089,11 +1015,11 @@ void RecognitionService::controller_step(const std::vector<double>& latencies_us
   // brown-out lifts, and a deep margin walks back once p99 clears the
   // low watermark.
   LoadSignal signal = LoadSignal::kHold;
-  if (p99 > oc.brownout_factor * oc.target_p99_us) {
+  if (p99 > kBrownoutFactor * oc.target_p99_us) {
     signal = LoadSignal::kBrownout;
   } else if (p99 > oc.target_p99_us) {
     signal = LoadSignal::kTighten;
-  } else if (p99 < oc.low_watermark * oc.target_p99_us) {
+  } else if (p99 < kLowWatermark * oc.target_p99_us) {
     signal = LoadSignal::kRelax;
   }
   // The engines are served concurrently on their workers; adapt_to_load

@@ -6,24 +6,20 @@
 /// replicas (any backend — the factory decides). Clients submit single
 /// queries or whole batches and get futures back; a collector thread
 /// coalesces whatever is queued inside an *admission window* into one
-/// micro-batch and fans it out to the per-shard worker threads (each
-/// shard engine is touched by exactly one thread, so engines need no
-/// internal locking). Workers *stream* their finished per-shard answers
-/// into a completion queue as they land — the collector folds each one
-/// into a running per-query merge instead of barriering on the slowest
-/// shard — and up to one successor micro-batch is *double-buffered*: as
-/// soon as any shard goes idle the collector forms the next batch and
-/// posts it into every shard's depth-2 job queue, so workers roll from
-/// batch N straight into batch N+1 without a collector round-trip.
-/// Client-visible semantics (delivery order, merge rule, stats, fault
-/// handling) are unchanged from the barrier design. This is the layer the ROADMAP's heavy-traffic scenarios plug
-/// into: what lives behind the shard workers swaps freely without touching
-/// the client surface. Multi-backend *tiered* routing plugs in exactly
-/// there: make_tiered_factory() builds one TieredEngine per shard (cheap
-/// tier 0, authoritative tier 1), and stats() then surfaces the tier mix
-/// (escalation/reject rates), per-shard batch-time quantiles, client
-/// latency percentiles and an energy-per-query estimate composed from the
-/// shard engines' power models.
+/// micro-batch and posts it to the per-shard worker threads (each shard
+/// engine is touched by exactly one thread, so engines need no internal
+/// locking). One micro-batch is in flight at a time: workers *stream*
+/// their finished per-shard answers into a completion queue as they land,
+/// the collector folds each one into a running per-query merge instead of
+/// barriering on the slowest shard, and once every post has settled it
+/// delivers the batch and forms the next. This is the layer the ROADMAP's
+/// heavy-traffic scenarios plug into: what lives behind the shard workers
+/// swaps freely without touching the client surface. Multi-backend
+/// *tiered* routing plugs in exactly there: make_tiered_factory() builds
+/// one TieredEngine per shard (cheap tier 0, authoritative tier 1), and
+/// stats() then surfaces the tier mix (escalation/reject rates), per-shard
+/// batch-time quantiles, client latency percentiles and an energy-per-query
+/// estimate composed from the shard engines' power models.
 ///
 /// Winner parity: the merge picks the shard with the highest score,
 /// breaking ties toward the lowest global template index — the same rule
@@ -53,9 +49,10 @@
 ///    it. Either way the merge returns best-effort answers over the
 ///    shards that did respond, with `Recognition.coverage` < 1 telling
 ///    the client which fraction of the template set was searched.
-///  * Adaptive overload control — with `overload.enabled`, a controller
-///    on the collector thread turns each period's p99 latency into one
-///    LoadSignal and hands it to every shard engine's adapt_to_load();
+///  * Adaptive overload control — with a positive `overload.target_p99_us`,
+///    a controller on the collector thread turns each period's p99
+///    latency into one LoadSignal and hands it to every shard engine's
+///    adapt_to_load();
 ///    TieredEngine shards servo their escalation threshold and, past a
 ///    second watermark, force tier-0-only *brown-out* serving (answers
 ///    flagged `degraded`) until the latency recovers.
@@ -84,6 +81,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -102,19 +100,15 @@ namespace spinsim {
 /// to every shard engine's adapt_to_load(). Only engines with a
 /// load-dependent policy act on it (TieredEngine, whose margin_step and
 /// min_escalation_margin set the servo's step and floor); with none, the
-/// controller changes nothing.
+/// controller changes nothing. Two fixed watermarks frame the target: p99
+/// above twice the target forces tier-0-only *brown-out* serving (answers
+/// flagged `degraded`) until p99 falls back under the target, and p99
+/// below half the target sends kRelax, which walks the escalation
+/// threshold back toward its construction-time value.
 struct OverloadControlConfig {
-  bool enabled = false;
-  /// The p99 client-latency SLO the controller defends [us].
+  /// The p99 client-latency SLO the controller defends [us]; 0 turns
+  /// overload control off.
   double target_p99_us = 0.0;
-  /// Brown-out watermark: p99 above `brownout_factor * target_p99_us`
-  /// forces tier-0-only serving (answers flagged `degraded`) until p99
-  /// falls back under the target.
-  double brownout_factor = 2.0;
-  /// Relax watermark: p99 below `low_watermark * target_p99_us` sends
-  /// kRelax, which walks the escalation threshold back toward its
-  /// construction-time value.
-  double low_watermark = 0.5;
   /// Delivered queries per controller decision (the p99 window length).
   std::uint64_t period_queries = 256;
 };
@@ -152,11 +146,9 @@ struct RecognitionServiceConfig {
   /// Consecutive failed dispatches (throws after retry, or timeouts) that
   /// trip a shard's circuit breaker open.
   std::size_t breaker_failure_threshold = 3;
-  /// Breaker cooldown before the half-open probe; doubles (`breaker_backoff`)
-  /// per consecutive ejection, capped at `breaker_max_cooldown`.
+  /// Breaker cooldown before the half-open probe; doubles per consecutive
+  /// ejection, capped at 5 s (so it may not start above 5 s).
   std::chrono::microseconds breaker_cooldown{100000};
-  double breaker_backoff = 2.0;
-  std::chrono::microseconds breaker_max_cooldown{5000000};
   /// Idle scrubbing: when > 0 and the service goes idle after at least
   /// this many delivered queries since the last round, the collector
   /// posts AssociativeEngine::maintain() to every shard worker (for leaf
@@ -352,7 +344,7 @@ class RecognitionService {
     std::size_t columns = 0;  ///< templates stored on this shard
     std::thread worker;
 
-    /// One posted batch in the shard's job queue. Shared ownership of the
+    /// One posted batch in the shard's job slot. Shared ownership of the
     /// inputs, not a raw pointer: when the watchdog abandons a wedged
     /// shard the collector's dispatch state is long gone by the time the
     /// engine call returns, but the worker is still inside
@@ -363,13 +355,15 @@ class RecognitionService {
       std::uint64_t gen = 0;  ///< generation tag (see next_gen)
     };
 
-    // Collector -> worker handoff: a depth-2 job queue (the batch being
-    // served plus one double-buffered successor), generation-tagged so an
-    // abandoned (timed-out) job's late results are discarded instead of
-    // being mistaken for a later batch's.
+    // Collector -> worker handoff: a single job slot, generation-tagged
+    // so an abandoned (timed-out) job's late results are discarded instead
+    // of being mistaken for a later batch's. A post overwrites a slot that
+    // still holds a job: with one batch in flight, such a job can only be
+    // an abandoned one the worker never started (e.g. it sat behind a
+    // maintain() scrub).
     Mutex mutex{LockRank::kShard};
     CondVar cv;
-    std::deque<Job> jobs SPINSIM_GUARDED_BY(mutex);
+    std::optional<Job> job SPINSIM_GUARDED_BY(mutex);
     /// Last generation the collector posted (monotone; 0 = none yet).
     std::uint64_t next_gen SPINSIM_GUARDED_BY(mutex) = 0;
     /// Generation the worker is currently executing (valid while busy).
@@ -382,16 +376,22 @@ class RecognitionService {
     bool scrub SPINSIM_GUARDED_BY(mutex) = false;  ///< pending maintain() round
     bool stop SPINSIM_GUARDED_BY(mutex) = false;
 
+    /// Worker is stuck inside a job the collector abandoned: it takes no
+    /// new post, and stats() reports the shard unavailable. (A worker
+    /// busy on a live job is healthy.)
+    bool wedged() const SPINSIM_REQUIRES(mutex) { return busy && running_gen <= abandoned_gen; }
+
     // Engine time per dispatched batch [us], written by the worker under
     // `mutex` while posting its completion, read by stats().
     GeometricHistogram batch_latency_us SPINSIM_GUARDED_BY(mutex);
     std::uint64_t batches_run SPINSIM_GUARDED_BY(mutex) = 0;
   };
 
-  /// One shard's finished batch, streamed from its worker to the
-  /// collector through `completions_`. Workers push while still holding
-  /// their shard mutex (rank 20 -> 25), so a push can never race the
-  /// watchdog's abandon decision for the same generation.
+  /// One shard's finished job, streamed from its worker to the collector
+  /// through `completions_` and matched to the in-flight batch by
+  /// generation. Workers push while still holding their shard mutex
+  /// (rank 20 -> 25), so a push can never race the watchdog's abandon
+  /// decision for the same generation.
   struct Completion {
     std::size_t shard = 0;
     std::uint64_t gen = 0;
@@ -399,11 +399,11 @@ class RecognitionService {
     std::exception_ptr error;  ///< set when the engine threw (results empty)
   };
 
-  /// Collector-local state of one dispatched micro-batch whose per-shard
-  /// answers are still streaming in. The per-query merge is *folded* one
-  /// shard at a time (fold_shard_results), so non-winning shard results
-  /// are freed as they arrive instead of being held until every shard has
-  /// answered.
+  /// Collector-local state of the one dispatched micro-batch whose
+  /// per-shard answers are still streaming in. The per-query merge is
+  /// *folded* one shard at a time (fold_shard_results), so non-winning
+  /// shard results are freed as they arrive instead of being held until
+  /// every shard has answered.
   struct InFlight {
     std::vector<Request> requests;
     std::shared_ptr<const std::vector<FeatureVector>> inputs;
@@ -435,23 +435,22 @@ class RecognitionService {
 
   void collector_loop();
   void shard_loop(std::size_t index);
-  /// Posts `flight` to every eligible shard (not wedged, job queue not
-  /// full, breaker admits — an elapsed cooldown admits one half-open
-  /// probe).
+  /// Posts `flight` to every eligible shard (not wedged, breaker admits —
+  /// an elapsed cooldown admits one half-open probe).
   void post_dispatch(InFlight& flight);
-  /// Pushes a generation-tagged job for `flight` onto shard `index`'s
-  /// queue and records the post (generation, watchdog deadline) in
+  /// Puts a generation-tagged job for `flight` into shard `index`'s slot
+  /// and records the post (generation, watchdog deadline) in
   /// flight.pending. Serves both the first post and retry reposts.
   void post_to_shard(std::size_t index, InFlight& flight);
-  /// Routes one streamed completion to its in-flight batch: folds a
+  /// Settles one streamed completion against the in-flight batch: folds a
   /// success into the running merge, retries or excludes on error.
   /// Completions for abandoned/superseded generations are dropped.
-  void handle_completion(std::deque<InFlight>& inflight, Completion&& done);
+  void handle_completion(InFlight& flight, Completion&& done);
   /// Abandons posts whose watchdog deadline passed. Re-checks the
   /// completion queue under both the shard and completion locks first: a
   /// completion that landed just before the deadline is a late answer,
   /// not a timeout.
-  void expire_watchdog(std::deque<InFlight>& inflight);
+  void expire_watchdog(InFlight& flight);
   /// Folds one shard's answers into `flight`'s running per-query merge
   /// (highest score wins, ties toward the lowest global template index).
   void fold_shard_results(InFlight& flight, std::size_t shard_index,
@@ -462,10 +461,6 @@ class RecognitionService {
   /// Post-delivery bookkeeping shared by both complete_dispatch paths:
   /// in-flight/idle accounting, idle scrub.
   void finish_dispatch(std::size_t delivered);
-  /// True when some shard could start a new batch immediately (idle
-  /// worker, empty job queue, breaker not holding it out) — the gate for
-  /// forming the double-buffered successor batch.
-  bool has_idle_candidate();
   /// Breaker bookkeeping for one shard's dispatch outcome.
   void note_shard_success(std::size_t index);
   void note_shard_exclusion(std::size_t index, bool timeout);

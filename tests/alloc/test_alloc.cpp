@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "amm/spin_amm.hpp"
 #include "core/random.hpp"
+#include "service/recognition_service.hpp"
 
 namespace {
 
@@ -130,8 +133,9 @@ constexpr std::size_t kPerBatchAllowance = 32;
 /// operator is the expensive part) and shared by every test here.
 struct Fixture {
   SpinAmm amm{contract_config()};
+  std::vector<FeatureVector> templates = random_features(contract_config().features, 160, 1);
   std::vector<FeatureVector> queries = random_features(contract_config().features, 256, 2);
-  Fixture() { amm.store_templates(random_features(contract_config().features, 160, 1)); }
+  Fixture() { amm.store_templates(templates); }
 };
 
 Fixture& fixture() {
@@ -171,6 +175,57 @@ TEST(AllocationContractSingle, RecognizeAllocatesAtMostFour) {
     const std::size_t allocations = allocations_during([&] { result = amm.recognize(queries[i]); });
     EXPECT_LE(allocations, 4u) << "query " << i;
   }
+}
+
+// A service round trip, per query: each shard engine's three result
+// vectors (the merge keeps the winner's, frees the rest), the
+// std::function that delivers the query (its closure, the client join
+// pointer plus an index, outgrows the small buffer), and a quarter of an
+// admission-queue block (std::deque<Request> packs four requests into
+// each 512-byte block).
+constexpr std::size_t kServiceShards = 2;
+constexpr std::size_t kServiceAllocationsPerQuery =
+    kServiceShards * kResultAllocationsPerQuery + 1;
+constexpr std::size_t kRequestsPerQueueBlock = 4;
+// Per round trip of 256 queries: the client join (its state, results
+// and promise), the request vector, the collector's batch vector (one
+// reallocation per doubling), the shared input batch, the per-query fold
+// vectors and the per-shard post table, one completion-drain deque per
+// collector wake-up (one per shard at most), each shard engine's results
+// and chunk_timing vectors, and the merged answers and latencies.
+// Measured: 31.
+constexpr std::size_t kServicePerBatchAllowance = 40;
+
+TEST(AllocationContractService, SubmitBatchRoundTripAllocatesResultsAndDeliveryPerQuery) {
+  const Fixture& f = fixture();
+  // The shards share the flat engine's full-scale and row target, the
+  // service's score-comparability contract.
+  const double full_scale = f.amm.input_full_scale();
+  const double row_target = f.amm.crossbar().row_conductance(0);
+  RecognitionServiceConfig config;
+  config.shards = kServiceShards;
+  config.max_batch = f.queries.size();
+  config.admission_window = std::chrono::microseconds(0);
+  RecognitionService service(config, [full_scale, row_target](std::size_t, std::size_t columns) {
+    SpinAmmConfig c = contract_config();
+    c.templates = columns;
+    c.input_full_scale_override = full_scale;
+    c.row_target_conductance = row_target;
+    return std::make_unique<SpinAmm>(c);
+  });
+  service.store_templates(f.templates);
+  // Warm-up: prepares each shard's transfer operator and worker scratch.
+  (void)service.submit_batch(f.queries).get();
+
+  std::vector<FeatureVector> batch = f.queries;  // the caller's copy, made outside the count
+  std::vector<Recognition> results;
+  const std::size_t allocations =
+      allocations_during([&] { results = service.submit_batch(std::move(batch)).get(); });
+  ASSERT_EQ(results.size(), f.queries.size());
+  EXPECT_LE(allocations, kServiceAllocationsPerQuery * f.queries.size() +
+                             f.queries.size() / kRequestsPerQueueBlock + kServicePerBatchAllowance)
+      << static_cast<double>(allocations) / static_cast<double>(f.queries.size())
+      << " allocations per query";
 }
 
 }  // namespace

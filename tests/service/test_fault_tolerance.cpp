@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -164,7 +165,6 @@ TEST(ServiceFaultTolerance, HalfOpenProbeFailureReopensWithBackoff) {
   RecognitionServiceConfig config;
   config.breaker_failure_threshold = 1;
   config.breaker_cooldown = microseconds(1000);
-  config.breaker_backoff = 2.0;
   TwoShardRig timed(config);
 
   timed.controls[0]->set_throwing(true);
@@ -223,6 +223,26 @@ TEST(ServiceFaultTolerance, StuckShardTimesOutAndServiceKeepsAnswering) {
   const Recognition recovered = rig.ask();
   EXPECT_DOUBLE_EQ(recovered.coverage, 1.0);
   EXPECT_EQ(recovered.winner, 0u);
+}
+
+TEST(ServiceFaultTolerance, ShardServingALiveBatchStaysAvailable) {
+  // Regression: stats() used to report every busy shard unavailable, so a
+  // healthy shard in the middle of a batch read `available == false`.
+  // Only a worker wedged in an *abandoned* job is unavailable.
+  RecognitionServiceConfig config;  // no watchdog: the stuck call stays live
+  TwoShardRig rig(config);
+
+  rig.controls[0]->stick();
+  std::future<Recognition> pending = rig.service->submit(scripted_templates().front());
+  while (rig.controls[0]->stuck_calls() == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(rig.service->stats().shards[0].available) << "serving is not wedged";
+
+  rig.controls[0]->release();
+  const Recognition got = pending.get();
+  EXPECT_DOUBLE_EQ(got.coverage, 1.0);
+  EXPECT_EQ(got.winner, 0u);
 }
 
 TEST(ServiceFaultTolerance, AbandonedJobInputsOutliveTheDispatch) {

@@ -195,10 +195,7 @@ TEST(ServiceOverload, BrownoutForcesTier0AndFlagsDegraded) {
   config.max_batch = 1;
   config.admission_window = microseconds(0);
   config.clock = clock;
-  config.overload.enabled = true;
   config.overload.target_p99_us = 100.0;
-  config.overload.brownout_factor = 2.0;
-  config.overload.low_watermark = 0.5;
   config.overload.period_queries = 1;
 
   auto tiered_factory = make_tiered_factory(scripted_factory({1.0, 0.2, true}),
